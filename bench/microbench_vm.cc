@@ -151,9 +151,18 @@ Program GuardedScatterProgram() {
   return std::move(p).value();
 }
 
-// The engine set compared by BM_GuardedScatterEngine and the --json rows.
-constexpr ExecEngine kBenchEngines[] = {ExecEngine::kInterp, ExecEngine::kJit,
-                                        ExecEngine::kJit2};
+// The engine rows compared by BM_GuardedScatterEngine and the --json output;
+// jit2 is the JIT compiled with JitOptions::v2.
+struct BenchEngine {
+  const char* name;
+  ExecEngine engine;
+  bool v2;
+};
+constexpr BenchEngine kBenchEngines[] = {
+    {"interp", ExecEngine::kInterp, false},
+    {"jit", ExecEngine::kJit, false},
+    {"jit2", ExecEngine::kJit, true},
+};
 
 // Same optimized pipeline on every engine: Arg(0) = interpreter,
 // Arg(1) = native JIT v1, Arg(2) = JIT v2 (regalloc + guard hoisting +
@@ -165,7 +174,9 @@ void BM_GuardedScatterEngine(benchmark::State& state) {
   Runtime runtime{RuntimeOptions{1, 1'000'000'000ULL}};
   LoadOptions lo;
   lo.heap_static_bytes = 128;
-  lo.engine = kBenchEngines[state.range(0)];
+  const BenchEngine& engine = kBenchEngines[state.range(0)];
+  lo.engine = engine.engine;
+  lo.jit.v2 = engine.v2;
   auto id = runtime.Load(p, lo);
   EngineInfo info = runtime.engine_info(*id);
   if (info.used != lo.engine) {
@@ -180,7 +191,7 @@ void BM_GuardedScatterEngine(benchmark::State& state) {
     insns += r.insns;
   }
   state.SetItemsProcessed(static_cast<int64_t>(insns));
-  state.SetLabel(ExecEngineName(info.used));
+  state.SetLabel(engine.name);
   if (info.used != ExecEngine::kInterp) {
     state.counters["code_bytes"] =
         benchmark::Counter(static_cast<double>(info.stats.code_bytes));
@@ -265,21 +276,24 @@ BENCHMARK(BM_MemcachedGetWallTime);
 int WriteEngineJson(const std::string& path) {
   BenchJson json;
   Program p = GuardedScatterProgram();
-  for (ExecEngine engine : kBenchEngines) {
+  for (const BenchEngine& engine : kBenchEngines) {
     Runtime runtime{RuntimeOptions{1, 1'000'000'000ULL}};
     LoadOptions lo;
     lo.heap_static_bytes = 128;
-    lo.engine = engine;
+    lo.engine = engine.engine;
+    lo.jit.v2 = engine.v2;
     auto id = runtime.Load(p, lo);
     if (!id.ok()) {
       std::fprintf(stderr, "load failed: %s\n", id.status().ToString().c_str());
       return 1;
     }
     EngineInfo info = runtime.engine_info(*id);
-    if (engine != ExecEngine::kInterp && info.used != engine) {
+    // A JIT row that fell back is recorded as an interp row.
+    const char* label = info.used == engine.engine ? engine.name : ExecEngineName(info.used);
+    if (info.used != engine.engine) {
       std::fprintf(stderr, "note: JIT fell back to the interpreter (%s); "
                    "recording interpreter timings for the %s row\n",
-                   info.fallback_reason.c_str(), ExecEngineName(engine));
+                   info.fallback_reason.c_str(), engine.name);
     }
     const KieStats& ks = runtime.instrumented(*id).stats;
     uint8_t ctx[64] = {0};
@@ -298,12 +312,12 @@ int WriteEngineJson(const std::string& path) {
         static_cast<double>(
             std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count()) /
         kOps;
-    auto& row = json.Add("guarded_scatter", ExecEngineName(info.used), ns_per_op);
+    auto& row = json.Add("guarded_scatter", label, ns_per_op);
     row.fields.emplace_back("guards_emitted", static_cast<int64_t>(ks.guards_emitted));
     row.fields.emplace_back("guards_elided", static_cast<int64_t>(ks.guards_elided));
     row.fields.emplace_back("guards_dominated", static_cast<int64_t>(ks.guards_dominated));
     row.fields.emplace_back("code_bytes", static_cast<int64_t>(info.stats.code_bytes));
-    if (info.used == ExecEngine::kJit2) {
+    if (info.used == ExecEngine::kJit && engine.v2) {
       row.fields.emplace_back("hoisted_guards",
                               static_cast<int64_t>(info.stats.hoisted_guards));
       row.fields.emplace_back("cached_loops",
@@ -317,8 +331,8 @@ int WriteEngineJson(const std::string& path) {
       row.fields.emplace_back("inline_helper_sites",
                               static_cast<int64_t>(info.stats.inline_helper_sites));
     }
-    std::printf("json row: workload=guarded_scatter engine=%s ns/op=%.1f\n",
-                ExecEngineName(info.used), ns_per_op);
+    std::printf("json row: workload=guarded_scatter engine=%s ns/op=%.1f\n", label,
+                ns_per_op);
   }
   if (!json.Write(path)) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());

@@ -22,8 +22,6 @@ const char* ExecEngineName(ExecEngine engine) {
       return "interp";
     case ExecEngine::kJit:
       return "jit";
-    case ExecEngine::kJit2:
-      return "jit2";
   }
   return "?";
 }

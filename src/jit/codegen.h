@@ -34,11 +34,11 @@ struct JitState;
 class HelperTable;
 class MapRegistry;
 
-// Which execution engine runs an extension's instrumented bytecode.
+// Which execution engine runs an extension's instrumented bytecode. The JIT's
+// optimizer passes are chosen by JitOptions, not by a separate engine value.
 enum class ExecEngine : uint8_t {
   kInterp = 0,  // switch-dispatch interpreter (Vm)
   kJit = 1,     // native x86-64 template JIT, interpreter fallback
-  kJit2 = 2,    // JIT v1 + regalloc / guard hoisting / helper inlining
 };
 
 const char* ExecEngineName(ExecEngine engine);
@@ -51,7 +51,7 @@ struct JitOptions {
   // Test hook: refuse to compile, as if the host were unsupported.
   bool force_fallback = false;
 
-  // ---- v2 optimizer (ExecEngine::kJit2) ----
+  // ---- v2 optimizer ----
   // Master switch; the three pass knobs below only apply when set. Each pass
   // is independently disableable so the differential harness can bisect a
   // miscompile to a single pass.

@@ -145,14 +145,11 @@ StatusOr<ExtensionId> Runtime::Load(const Program& program, const LoadOptions& o
   // time (recorded in engine_info): the interpreter runs the identical
   // instrumented stream, so the choice is purely an execution-speed one.
   ext->engine_requested = options.engine;
-  if (options.engine == ExecEngine::kJit ||
-      options.engine == ExecEngine::kJit2) {
-    JitOptions jo = options.jit;
-    jo.v2 = jo.v2 || options.engine == ExecEngine::kJit2;
+  if (options.engine == ExecEngine::kJit) {
     JitCompileEnv jenv;
     jenv.helpers = &helpers_;
     jenv.maps = &maps_;
-    JitCompileResult jit = JitCompile(ext->iprog, jo, jenv);
+    JitCompileResult jit = JitCompile(ext->iprog, options.jit, jenv);
     if (jit.program != nullptr) {
       ext->jit = std::move(jit.program);
     } else {
@@ -297,10 +294,6 @@ InvokeResult Runtime::Invoke(ExtensionId id, int cpu, uint8_t* ctx, uint32_t ctx
   result.outcome = vm.outcome;
   result.fault_pc = vm.fault_pc;
   result.fault_kind = vm.fault_kind;
-  {
-    std::lock_guard<std::mutex> lock(ext->stats_mu);
-    ext->stats.invocations++;
-  }
 
   struct ObsRestore {
     const uint32_t flags;
@@ -402,9 +395,7 @@ EngineInfo Runtime::engine_info(ExtensionId id) const {
     return info;
   }
   info.requested = ext->engine_requested;
-  info.used = ext->jit != nullptr
-                  ? (ext->jit->opts.v2 ? ExecEngine::kJit2 : ExecEngine::kJit)
-                  : ExecEngine::kInterp;
+  info.used = ext->jit != nullptr ? ExecEngine::kJit : ExecEngine::kInterp;
   info.fallback_reason = ext->jit_fallback;
   if (ext->jit != nullptr) {
     info.stats = ext->jit->stats;

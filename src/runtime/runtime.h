@@ -78,12 +78,14 @@ struct LoadOptions {
   // reason, see Runtime::engine_info) on unsupported hosts or constructs;
   // the load itself never fails because of the engine choice.
   ExecEngine engine = ExecEngine::kInterp;
+  // Compile options when engine == kJit; JitOptions::v2 turns on the JIT's
+  // optimizer passes.
   JitOptions jit;
 };
 
 // Engine/optimizer selection bundle for app drivers and test harnesses that
-// wrap Load. The chaos harness iterates this over all three execution
-// configurations (reference interpreter, optimized interpreter, JIT).
+// wrap Load. The chaos harness iterates this over four rows: reference
+// interpreter, optimized interpreter, JIT, and JIT with JitOptions::v2.
 struct EngineChoice {
   bool optimize = true;
   ExecEngine engine = ExecEngine::kInterp;
@@ -93,9 +95,12 @@ struct EngineChoice {
 // Post-load report of which engine an extension actually runs on.
 struct EngineInfo {
   ExecEngine requested = ExecEngine::kInterp;
+  // kJit for all native code, whichever JitOptions passes compiled it.
   ExecEngine used = ExecEngine::kInterp;
   std::string fallback_reason;  // set when requested == kJit but used != kJit
-  JitCompileStats stats;        // meaningful when used == kJit
+  // Meaningful when used == kJit; the v2 counters stay zero unless the code
+  // was compiled with JitOptions::v2.
+  JitCompileStats stats;
   // Shard-safety certificate distilled at load (concurrency.h): the sharded
   // dispatcher's gate for running invocations of this extension
   // concurrently. Full report: Runtime::instrumented(id).concurrency.
@@ -187,8 +192,9 @@ class Runtime {
   // cancellation (restricted: plain function of the default verdict).
   void SetCancellationCallback(ExtensionId id, std::function<int64_t(int64_t)> cb);
 
+  // Cancellation accounting, kept whether or not obs metrics are on. The obs
+  // counter runtime.invocations (SnapshotMetrics) counts invocations.
   struct ExtensionStats {
-    uint64_t invocations = 0;
     uint64_t cancellations = 0;
     uint64_t resources_released_on_cancel = 0;
   };
@@ -235,6 +241,7 @@ class Runtime {
     std::atomic<bool> unloaded{false};
     std::function<int64_t(int64_t)> cancel_cb;
     std::vector<std::unique_ptr<std::atomic<uint64_t>>> running_since;  // per cpu, ns; 0 = idle
+    // Guards stats, which only the cancellation path (Unwind) writes.
     mutable std::mutex stats_mu;
     ExtensionStats stats;
   };

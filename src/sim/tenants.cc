@@ -1,9 +1,7 @@
 #include "src/sim/tenants.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
-#include <thread>
 #include <utility>
 
 #include "src/apps/netfn/netfn.h"
@@ -13,6 +11,7 @@
 #include "src/ebpf/assembler.h"
 #include "src/kernel/packet.h"
 #include "src/obs/obs.h"
+#include "src/sim/openloop.h"
 #include "src/verifier/concurrency.h"
 
 namespace kflex {
@@ -26,22 +25,6 @@ constexpr int kTenantAdversary = 3;
 
 const char* const kTenantNames[] = {"netfn_lb", "netfn_guard", "netfn_traceagg",
                                     "netfn_adversary"};
-
-struct Slot {
-  InvokeResult result;
-};
-
-void WriteSlot(const InvokeResult& result, void* user) {
-  static_cast<Slot*>(user)->result = result;
-}
-
-// Per-request pricing record for the latency replay (openloop.cc phase 2,
-// with tenant attribution).
-struct Priced {
-  uint32_t service_ns = 0;
-  uint8_t shard = 0;
-  uint8_t tenant = 0;
-};
 
 uint64_t Mix64(uint64_t x) {
   x ^= x >> 30;
@@ -75,8 +58,18 @@ Program BuildAdversarialNeighbor() {
 }
 
 StatusOr<TenantScenarioResult> RunTenantScenario(const TenantScenarioConfig& config) {
-  if (config.num_shards < 1 || config.total_requests == 0 || config.window == 0) {
-    return InvalidArgument("tenants: bad scenario config");
+  OpenLoopPlan plan;
+  plan.total_requests = config.total_requests;
+  plan.window = config.window;
+  plan.ctx_stride = kCtxSize;  // the largest tenant ctx
+  plan.burst_size = config.burst_size;
+  plan.warmup_pct = config.warmup_pct;
+  plan.seed = config.seed;
+  plan.offered_load = config.offered_load;
+  plan.replay_rate_rps = config.replay_rate_rps;
+  Status valid = CheckOpenLoopPlan(plan, config.num_shards);
+  if (!valid.ok()) {
+    return valid;
   }
   // The SLO surface is per-extension obs metrics; run with the metrics
   // registry on and clean so one scenario = one attribution window. The
@@ -96,18 +89,21 @@ StatusOr<TenantScenarioResult> RunTenantScenario(const TenantScenarioConfig& con
   const int num_tenants = with_adversary ? 4 : 3;
 
   // ---- load the tenant mix ----
+  auto load_options = [&](uint64_t static_bytes) {
+    LoadOptions lo;
+    lo.heap_static_bytes = static_bytes;
+    lo.optimize = config.engine.optimize;
+    lo.engine = config.engine.engine;
+    lo.jit = config.engine.jit;
+    return lo;
+  };
   auto lb_build = BuildL4LoadBalancer(rt.maps(), config.num_backends);
   if (!lb_build.ok()) {
     return lb_build.status();
   }
   LoadedTenant tenants[4];
   {
-    LoadOptions lo;
-    lo.heap_static_bytes = lb_build->static_bytes;
-    lo.optimize = config.engine.optimize;
-    lo.engine = config.engine.engine;
-    lo.jit = config.engine.jit;
-    auto id = sharded.Load(lb_build->program, lo);
+    auto id = sharded.Load(lb_build->program, load_options(lb_build->static_bytes));
     if (!id.ok()) {
       return id.status();
     }
@@ -137,12 +133,7 @@ StatusOr<TenantScenarioResult> RunTenantScenario(const TenantScenarioConfig& con
     if (!program.ok()) {
       return program.status();
     }
-    LoadOptions lo;
-    lo.heap_static_bytes = GuardLayout::kStaticBytes;
-    lo.optimize = config.engine.optimize;
-    lo.engine = config.engine.engine;
-    lo.jit = config.engine.jit;
-    auto id = sharded.Load(*program, lo);
+    auto id = sharded.Load(*program, load_options(GuardLayout::kStaticBytes));
     if (!id.ok()) {
       return id.status();
     }
@@ -153,12 +144,7 @@ StatusOr<TenantScenarioResult> RunTenantScenario(const TenantScenarioConfig& con
     if (!program.ok()) {
       return program.status();
     }
-    LoadOptions lo;
-    lo.heap_static_bytes = TraceAggLayout::kStaticBytes;
-    lo.optimize = config.engine.optimize;
-    lo.engine = config.engine.engine;
-    lo.jit = config.engine.jit;
-    auto id = sharded.Load(*program, lo);
+    auto id = sharded.Load(*program, load_options(TraceAggLayout::kStaticBytes));
     if (!id.ok()) {
       return id.status();
     }
@@ -166,12 +152,8 @@ StatusOr<TenantScenarioResult> RunTenantScenario(const TenantScenarioConfig& con
     tenants[kTenantAgg].ctx_size = kDsCtxSize;
   }
   if (with_adversary) {
-    LoadOptions lo;
-    lo.heap_static_bytes = 128;
+    LoadOptions lo = load_options(128);
     lo.kie.cancellation_mode = CancellationMode::kClockSampled;
-    lo.optimize = config.engine.optimize;
-    lo.engine = config.engine.engine;
-    lo.jit = config.engine.jit;
     auto id = sharded.Load(BuildAdversarialNeighbor(), lo);
     if (!id.ok()) {
       return id.status();
@@ -188,172 +170,102 @@ StatusOr<TenantScenarioResult> RunTenantScenario(const TenantScenarioConfig& con
     result.tenants[static_cast<size_t>(t)].replicated = place.replicated;
   }
 
-  // ---- phase 1: drive the mix, price every request ----
-  // Unlike RunOpenLoop this loop expects (and accounts) cancellations: the
+  // ---- drive the mix through the open-loop core ----
+  // Unlike RunOpenLoop this caller expects (and accounts) cancellations: the
   // neighbor burns its fuel budget once per window, its follow-up requests
   // fast-reject against the unloaded slot, and the window boundary re-arms
   // it with Runtime::Reset — the tenancy model under test.
   Rng rng(config.seed);
   ZipfGenerator zipf(config.key_space, config.zipf_theta);
-  std::vector<Priced> priced(config.total_requests);
-  std::vector<uint64_t> busy(static_cast<size_t>(config.num_shards), 0);
-  std::vector<uint8_t> ctx_pool(static_cast<size_t>(config.window) * kCtxSize);
-  std::vector<Slot> slots(config.window);
-  std::vector<uint64_t> flows(config.window);
-  std::vector<uint8_t> tenant_of(config.window);
-
-  uint64_t submitted = 0;
-  while (submitted < config.total_requests) {
-    uint64_t n = std::min<uint64_t>(config.window, config.total_requests - submitted);
-    for (uint64_t w = 0; w < n; w++) {
-      uint64_t i = submitted + w;
-      int tenant;
-      if (with_adversary && i % config.adversary_period == config.adversary_period - 1) {
-        tenant = kTenantAdversary;
-      } else {
-        uint64_t lane = i % 8;
-        tenant = lane < 4 ? kTenantLb : (lane < 6 ? kTenantGuard : kTenantAgg);
+  OpenLoopHooks hooks;
+  hooks.build = [&](uint64_t i, uint8_t* ctx) {
+    int tenant;
+    if (with_adversary && i % config.adversary_period == config.adversary_period - 1) {
+      tenant = kTenantAdversary;
+    } else {
+      uint64_t lane = i % 8;
+      tenant = lane < 4 ? kTenantLb : (lane < 6 ? kTenantGuard : kTenantAgg);
+    }
+    OpenLoopRequest req;
+    req.ext = tenants[tenant].id;
+    req.ctx_size = tenants[tenant].ctx_size;
+    req.tag = static_cast<uint8_t>(tenant);
+    switch (tenant) {
+      case kTenantLb: {
+        // Zipf-popular 5-tuple flows; steering and the extension's own
+        // affinity key derive from the same identity.
+        uint64_t f = zipf.Next(rng);
+        KvPacket pkt;
+        pkt.SetTuple(0x0A000000u | static_cast<uint32_t>(f & 0xFFFFFF),
+                     static_cast<uint16_t>(1024 + (f % 32768)), 443);
+        pkt.SetProto(kProtoUdp);
+        std::memcpy(ctx, pkt.data(), kCtxSize);
+        req.flow_hash = Mix64(f ^ 0x10adba1aULL);
+        break;
       }
-      uint8_t* ctx = ctx_pool.data() + w * kCtxSize;
-      std::memset(ctx, 0, kCtxSize);
-      uint64_t flow;
-      switch (tenant) {
-        case kTenantLb: {
-          // Zipf-popular 5-tuple flows; steering and the extension's own
-          // affinity key derive from the same identity.
-          uint64_t f = zipf.Next(rng);
-          KvPacket pkt;
-          pkt.SetTuple(0x0A000000u | static_cast<uint32_t>(f & 0xFFFFFF),
-                       static_cast<uint16_t>(1024 + (f % 32768)), 443);
-          pkt.SetProto(kProtoUdp);
-          std::memcpy(ctx, pkt.data(), kCtxSize);
-          flow = Mix64(f ^ 0x10adba1aULL);
-          break;
-        }
-        case kTenantGuard: {
-          uint64_t src = rng.Next() % 64;
-          KvPacket pkt;
-          pkt.SetTuple(0xC6336400u | static_cast<uint32_t>(src), 4242, 443);
-          pkt.SetProto(i % 4 == 0 ? kProtoTcp : kProtoUdp);
-          pkt.SetZScore(i * 800);  // virtual arrival time for token refill
-          std::memcpy(ctx, pkt.data(), kCtxSize);
-          flow = Mix64(src ^ 0xdd05ULL);
-          break;
-        }
-        case kTenantAgg: {
-          DsCtx agg;
-          agg.op = i & 3;
-          agg.value = 100 + (rng.Next() % 4096);
-          std::memcpy(ctx, agg.bytes(), kDsCtxSize);
-          flow = Mix64(i ^ 0xa99ULL);
-          break;
-        }
-        default:
-          flow = Mix64(i ^ 0xbadULL);
-          break;
+      case kTenantGuard: {
+        uint64_t src = rng.Next() % 64;
+        KvPacket pkt;
+        pkt.SetTuple(0xC6336400u | static_cast<uint32_t>(src), 4242, 443);
+        pkt.SetProto(i % 4 == 0 ? kProtoTcp : kProtoUdp);
+        pkt.SetZScore(i * 800);  // virtual arrival time for token refill
+        std::memcpy(ctx, pkt.data(), kCtxSize);
+        req.flow_hash = Mix64(src ^ 0xdd05ULL);
+        break;
       }
-      flows[w] = flow;
-      tenant_of[w] = static_cast<uint8_t>(tenant);
-      slots[w].result = InvokeResult{};
-      ShardRequest req;
-      req.ext = tenants[tenant].id;
-      req.ctx = ctx;
-      req.ctx_size = tenants[tenant].ctx_size;
-      req.flow_hash = flow;
-      req.on_done = WriteSlot;
-      req.user = &slots[w];
-      while (!sharded.Submit(req)) {
-        std::this_thread::yield();
+      case kTenantAgg: {
+        DsCtx agg;
+        agg.op = i & 3;
+        agg.value = 100 + (rng.Next() % 4096);
+        std::memcpy(ctx, agg.bytes(), kDsCtxSize);
+        req.flow_hash = Mix64(i ^ 0xa99ULL);
+        break;
+      }
+      default:
+        req.flow_hash = Mix64(i ^ 0xbadULL);
+        break;
+    }
+    return req;
+  };
+  hooks.account = [&](uint8_t tenant, const InvokeResult& r) {
+    TenantSlo& slo = result.tenants[tenant];
+    slo.requests++;
+    if (!r.attached) {
+      // Arrived while the (cancelled) extension was unloaded: a cheap
+      // table-lookup reject, not an invocation.
+      slo.rejected++;
+      return;
+    }
+    if (r.cancelled) {
+      slo.cancelled++;
+      slo.max_cancel_insns = std::max(slo.max_cancel_insns, r.insns);
+    } else {
+      slo.completed++;
+      if (r.verdict == kXdpDrop) {
+        slo.verdict_drops++;
       }
     }
-    sharded.Flush();
-    for (uint64_t w = 0; w < n; w++) {
-      uint64_t i = submitted + w;
-      int tenant = tenant_of[w];
-      TenantSlo& slo = result.tenants[static_cast<size_t>(tenant)];
-      const InvokeResult& r = slots[w].result;
-      const ShardPlacement& place = sharded.placement(tenants[tenant].id);
-      slo.requests++;
-      uint64_t service;
-      if (!r.attached) {
-        // Arrived while the (cancelled) extension was unloaded: a cheap
-        // table-lookup reject, not an invocation.
-        slo.rejected++;
-        service = config.fixed_ns;
-      } else {
-        if (r.cancelled) {
-          slo.cancelled++;
-          slo.max_cancel_insns = std::max(slo.max_cancel_insns, r.insns);
-        } else {
-          slo.completed++;
-          if (r.verdict == kXdpDrop) {
-            slo.verdict_drops++;
-          }
-        }
-        slo.total_insns += r.insns;
-        double plain = static_cast<double>(r.insns - r.instr_insns);
-        double instr =
-            static_cast<double>(r.instr_insns) * config.instrumentation_cost_factor;
-        service = config.fixed_ns +
-                  static_cast<uint64_t>((plain + instr) * config.ns_per_insn);
-      }
-      int shard = place.replicated
-                      ? ShardForHash(flows[w], config.num_shards)
-                      : place.home_shard;
-      priced[i].service_ns = static_cast<uint32_t>(service);
-      priced[i].shard = static_cast<uint8_t>(shard);
-      priced[i].tenant = static_cast<uint8_t>(tenant);
-      busy[static_cast<size_t>(shard)] += service;
-    }
-    submitted += n;
-    if (with_adversary && rt.IsUnloaded(sharded.placement(tenants[kTenantAdversary].id)
-                                            .replicas.front())) {
+    slo.total_insns += r.insns;
+  };
+  if (with_adversary) {
+    hooks.end_window = [&] {
       // Window boundary: re-arm the cancelled neighbor (the operator's
       // restart policy; cancellation fairness is judged per window).
-      rt.Reset(sharded.placement(tenants[kTenantAdversary].id).replicas.front());
-    }
-    KFLEX_TRACE(ObsEvent::kSimProgress, submitted, 0);
+      ExtensionId neighbor = sharded.placement(tenants[kTenantAdversary].id).replicas.front();
+      if (rt.IsUnloaded(neighbor)) {
+        rt.Reset(neighbor);
+      }
+    };
   }
-
-  result.simulated_busy_ns = *std::max_element(busy.begin(), busy.end());
-  if (result.simulated_busy_ns == 0) {
-    result.simulated_busy_ns = 1;
-  }
+  // One arrival process over all tenants, per-tenant histograms.
+  hooks.record = [&](uint8_t tenant, uint64_t latency_ns) {
+    result.tenants[tenant].latency.Record(latency_ns);
+  };
+  OpenLoopTotals totals = RunOpenLoopCore(sharded, plan, hooks);
+  result.simulated_busy_ns = totals.busy_ns;
   result.capacity_rps = static_cast<double>(config.total_requests) * 1e9 /
                         static_cast<double>(result.simulated_busy_ns);
-
-  // ---- phase 2: shared-queue latency replay (openloop.cc methodology, one
-  // arrival process over all tenants, per-tenant histograms) ----
-  double offered_rate =  // requests per simulated ns
-      config.replay_rate_rps > 0
-          ? config.replay_rate_rps * 1e-9
-          : config.offered_load * static_cast<double>(config.total_requests) /
-                static_cast<double>(result.simulated_busy_ns);
-  result.replay_rate_rps = offered_rate * 1e9;
-  double mean_burst_gap =
-      static_cast<double>(std::max(1, config.burst_size)) / offered_rate;
-  std::vector<uint64_t> clock(static_cast<size_t>(config.num_shards), 0);
-  Rng replay_rng(config.seed ^ 0x5eedULL);
-  double arrival = 0;
-  uint64_t warmup =
-      config.total_requests * static_cast<uint64_t>(config.warmup_pct) / 100;
-  for (uint64_t i = 0; i < config.total_requests; i++) {
-    if (i % static_cast<uint64_t>(std::max(1, config.burst_size)) == 0) {
-      double u = replay_rng.NextDouble();
-      arrival += -std::log(u <= 0 ? 1e-12 : u) * mean_burst_gap;
-    }
-    const Priced& p = priced[i];
-    uint64_t at = static_cast<uint64_t>(arrival);
-    uint64_t start = std::max(at, clock[p.shard]);
-    uint64_t done = start + p.service_ns;
-    clock[p.shard] = done;
-    if (i == warmup) {
-      for (TenantSlo& slo : result.tenants) {
-        slo.latency.Reset();
-      }
-    }
-    result.tenants[p.tenant].latency.Record(done - at);
-  }
+  result.replay_rate_rps = totals.replay_rate_rps;
 
   // ---- distill SLOs ----
   ObsSnapshot snap = rt.SnapshotMetrics();

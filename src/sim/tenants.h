@@ -1,12 +1,12 @@
 // Multi-tenant SLO harness (ROADMAP item 4, docs/scenarios.md): loads the
 // three netfn tenants (L4 load balancer, DDoS guard, trace aggregator) plus
 // an optional adversarial neighbor into ONE ShardedRuntime, drives
-// deterministic mixed traffic through the open-loop two-phase methodology
-// (src/sim/openloop.cc), and distills per-tenant SLOs — p99 latency, drop
-// rate, cancellation fairness — from per-extension obs metrics and runtime
-// stats.
+// deterministic mixed traffic through the shared open-loop core
+// (RunOpenLoopCore in src/sim/openloop.h), and distills per-tenant SLOs — p99
+// latency, drop rate, cancellation fairness — from per-extension obs metrics
+// and runtime stats.
 //
-// Unlike RunOpenLoop, the drive loop here *tolerates* cancellations: the
+// Unlike RunOpenLoop, this scenario *tolerates* cancellations: the
 // adversarial neighbor (an unbounded loop under CancellationMode::
 // kClockSampled) is budget-cancelled by fuel_quantum_insns on every
 // invocation, priced at the instructions it actually burned, and re-armed
@@ -36,10 +36,6 @@ struct TenantScenarioConfig {
   uint32_t adversary_period = 16;
   // The neighbor's cancellation budget (RuntimeOptions::fuel_quantum_insns).
   uint64_t fuel_quantum_insns = 4000;
-  // Pricing (mirrors OpenLoopConfig).
-  uint64_t fixed_ns = 550;
-  double ns_per_insn = 2.5;
-  double instrumentation_cost_factor = 0.25;
   // Latency replay.
   double offered_load = 0.6;
   int burst_size = 8;
@@ -94,6 +90,8 @@ struct TenantScenarioResult {
   std::string metrics_json;
 };
 
+// Returns InvalidArgument, before loading anything, for a config the
+// open-loop core cannot run (CheckOpenLoopPlan in openloop.h).
 StatusOr<TenantScenarioResult> RunTenantScenario(const TenantScenarioConfig& config);
 
 // The misbehaving neighbor: an unbounded loop hammering its private heap.

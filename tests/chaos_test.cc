@@ -25,6 +25,7 @@
 #include "src/kernel/packet.h"
 #include "src/shard/shard.h"
 #include "src/sim/tenants.h"
+#include "tests/engine_configs.h"
 
 namespace kflex {
 namespace {
@@ -50,36 +51,6 @@ constexpr PointSpec kCoveredPoints[] = {
     {"lock.delay", "lock.delay:every=1"},
     {"shard.enqueue", "shard.enqueue:every=3"},
 };
-
-struct EngineConfig {
-  const char* name;
-  EngineChoice choice;
-};
-
-std::vector<EngineConfig> Engines() {
-  std::vector<EngineConfig> engines;
-  engines.push_back({"ref-interp", {/*optimize=*/false, ExecEngine::kInterp, {}}});
-  engines.push_back({"opt-interp", {/*optimize=*/true, ExecEngine::kInterp, {}}});
-  // fast_paths=false sends every JIT memory access through the
-  // interpreter-shared translation stub, so heap.* points fire on the same
-  // schedule as the interpreter legs.
-  JitOptions jit;
-  jit.fast_paths = false;
-  engines.push_back({"jit", {/*optimize=*/true, ExecEngine::kJit, jit}});
-  // JIT v2 with every optimizer pass enabled. fast_paths stays false for the
-  // same scheduling reason. Arming helper.ret_err or map.update before Load
-  // sets the compiled program's slow_flags, so every inline helper site bails
-  // to the interpreter-shared callout stub -- which is exactly where those
-  // fault points live.
-  JitOptions jit2 = jit;
-  jit2.v2 = true;
-  engines.push_back({"jit2", {/*optimize=*/true, ExecEngine::kJit2, jit2}});
-  return engines;
-}
-
-bool IsJitEngine(ExecEngine e) {
-  return e == ExecEngine::kJit || e == ExecEngine::kJit2;
-}
 
 uint64_t FailsOf(const char* point) {
   FaultPoint* p = FaultRegistry::Instance().Find(point);
@@ -114,11 +85,11 @@ void ExpectEngineRecorded(Runtime& runtime, ExtensionId id, const EngineConfig& 
                           const char* point) {
   EngineInfo ei = runtime.engine_info(id);
   EXPECT_EQ(ei.requested, engine.choice.engine);
-  if (IsJitEngine(ei.requested) && !IsJitEngine(ei.used)) {
+  if (ei.requested == ExecEngine::kJit && ei.used != ExecEngine::kJit) {
     EXPECT_FALSE(ei.fallback_reason.empty())
         << "silent JIT fallback with " << point << " armed";
   }
-  if (JitHostSupported() && IsJitEngine(ei.requested) &&
+  if (JitHostSupported() && ei.requested == ExecEngine::kJit &&
       (std::string(point) == "jit.mmap" || std::string(point) == "jit.mprotect")) {
     // The injected refusal (nth=1, armed before Load) must have forced the
     // interpreter and said why.
@@ -200,7 +171,7 @@ void RunGuardedScatter(const PointSpec& point, const EngineConfig& engine) {
   if (p == "heap.pagein" || p == "heap.guard" || p == "map.update") {
     EXPECT_GT(FailsOf(point.point), 0u) << point.spec << " never fired";
   }
-  if (JitHostSupported() && IsJitEngine(engine.choice.engine) &&
+  if (JitHostSupported() && engine.choice.engine == ExecEngine::kJit &&
       (p == "jit.mmap" || p == "jit.mprotect")) {
     EXPECT_GT(FailsOf(point.point), 0u) << point.spec << " never fired at load";
   }
@@ -651,7 +622,7 @@ TEST(ChaosMatrix, Jit2FaultedRunsMatchReferenceInterpreter) {
     std::vector<std::string> ref =
         ScatterFaultJournal(spec, {/*optimize=*/true, ExecEngine::kInterp, {}});
     std::vector<std::string> v2 =
-        ScatterFaultJournal(spec, {/*optimize=*/true, ExecEngine::kJit2, jit2});
+        ScatterFaultJournal(spec, {/*optimize=*/true, ExecEngine::kJit, jit2});
     EXPECT_EQ(ref, v2) << "JIT v2 degradation diverged from the interpreter";
   }
 }

@@ -13,7 +13,9 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <functional>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -27,6 +29,7 @@
 #include "src/runtime/runtime.h"
 #include "src/verifier/lint.h"
 #include "src/verifier/verifier.h"
+#include "tests/engine_configs.h"
 
 namespace kflex {
 namespace {
@@ -264,19 +267,20 @@ TEST(FuzzLintConcurrency, ConcurrencyPassesSurviveTheCorpus) {
 // ---- Differential fuzzing: optimizer + JIT equivalence ----------------------
 //
 // Every generated program is loaded four ways — reference interpreter
-// (optimizer off), optimized interpreter, optimized JIT v1, and JIT v2 (the
-// regalloc / guard-hoisting / helper-inlining optimizer) — and run on
-// identical context bytes and heap seeds. Exit verdicts, outcome kinds, full
-// heap contents, and helper-call traces (id, return value) must match
-// exactly: the optimizer may only remove work, and the JITs may only change
-// execution speed, never behavior. Both JITs run the same instrumented
-// stream as the optimized interpreter, so their instruction counts and fault
-// pcs must also match bit for bit (the optimizer-off reference executes a
-// different stream and is only compared on observable behavior).
+// (optimizer off), optimized interpreter, the JIT, and the JIT with its v2
+// passes (regalloc / guard hoisting / helper inlining) — and run on
+// identical context bytes and heap seeds. Every leg is compared with the
+// optimized interpreter: exit verdicts, outcome kinds, full heap contents,
+// and helper-call traces (id, return value) must match exactly, because the
+// optimizer may only remove work and the JIT may only change execution
+// speed, never behavior. The JIT legs run the optimized interpreter's
+// instrumented stream, so their instruction counts and fault pcs must also
+// match bit for bit (the optimizer-off reference executes a different stream
+// and is only compared on observable behavior).
 
 // Replaces the wall-clock and shared-thread-local core helpers with
-// per-runtime deterministic versions so both pipelines observe the same
-// helper return values.
+// per-runtime deterministic versions so every leg observes the same helper
+// return values.
 void MakeHelpersDeterministic(Runtime& rt) {
   auto clock = std::make_shared<uint64_t>(0);
   rt.helpers().Register(
@@ -292,6 +296,125 @@ void MakeHelpersDeterministic(Runtime& rt) {
       /*virtual_cost=*/4);
 }
 
+// The legs, in load order. Unlike the chaos and golden rows, the JIT legs
+// keep their inline fast paths: those are what the differential exercises.
+std::vector<EngineConfig> DifferentialLegs() {
+  JitOptions v2;
+  v2.v2 = true;
+  return {
+      {"ref-interp", {/*optimize=*/false, ExecEngine::kInterp, {}}},
+      {"opt-interp", {/*optimize=*/true, ExecEngine::kInterp, {}}},
+      {"jit", {/*optimize=*/true, ExecEngine::kJit, {}}},
+      {"jit2", {/*optimize=*/true, ExecEngine::kJit, v2}},
+  };
+}
+constexpr size_t kOracle = 1;  // the optimized interpreter
+
+struct Leg {
+  EngineConfig engine;
+  std::unique_ptr<Runtime> rt;
+  ExtensionId id = 0;
+};
+
+// A fresh single-CPU runtime per leg, each prepared by `setup` when given.
+std::vector<Leg> MakeLegs(const std::function<void(Runtime&)>& setup = nullptr) {
+  std::vector<Leg> legs;
+  for (const EngineConfig& engine : DifferentialLegs()) {
+    legs.push_back({engine, std::make_unique<Runtime>(RuntimeOptions{1, 1'000'000'000ULL})});
+    if (setup) {
+      setup(*legs.back().rt);
+    }
+  }
+  return legs;
+}
+
+// Loads program `n` on every leg, then runs it once per entry of `traced`
+// (true: with a helper-trace sink) on fresh random ctx bytes shared by all
+// legs, comparing each leg with the oracle. Counts the program in *compared
+// when it loaded.
+void CompareLegs(std::vector<Leg>& legs, const Program& p, int n, Rng& rng,
+                 const std::vector<bool>& traced, int* compared) {
+  auto where = [&](const Leg& leg, size_t run) {
+    return std::string(leg.engine.name) + " run " + std::to_string(run) + " program " +
+           std::to_string(n) + "\n" + ProgramToString(p);
+  };
+  bool loaded = false;
+  for (size_t i = 0; i < legs.size(); i++) {
+    Leg& leg = legs[i];
+    LoadOptions lo;
+    lo.heap_static_bytes = 4096;
+    lo.optimize = leg.engine.choice.optimize;
+    lo.engine = leg.engine.choice.engine;
+    lo.jit = leg.engine.choice.jit;
+    auto id = leg.rt->Load(p, lo);
+    if (i == 0) {
+      loaded = id.ok();
+    }
+    // Neither the optimizer nor the engine choice may change whether a
+    // program loads.
+    ASSERT_EQ(id.ok(), loaded) << where(leg, 0);
+    if (!loaded) {
+      continue;
+    }
+    leg.id = *id;
+    // The generator emits only constructs the template JIT supports; a
+    // fallback here is a compiler regression, not an expected path.
+    EngineInfo info = leg.rt->engine_info(leg.id);
+    if (JitHostSupported() && lo.engine == ExecEngine::kJit) {
+      ASSERT_EQ(info.used, ExecEngine::kJit) << info.fallback_reason << "\n" << where(leg, 0);
+    }
+  }
+  if (!loaded) {
+    return;
+  }
+  (*compared)++;
+  for (size_t run = 0; run < traced.size(); run++) {
+    uint8_t ctx[2048];
+    for (auto& byte : ctx) {
+      byte = static_cast<uint8_t>(rng.Next());
+    }
+    std::vector<InvokeResult> results;
+    std::vector<std::vector<std::pair<int32_t, uint64_t>>> traces(legs.size());
+    for (size_t i = 0; i < legs.size(); i++) {
+      uint8_t leg_ctx[sizeof(ctx)];
+      std::memcpy(leg_ctx, ctx, sizeof(ctx));
+      results.push_back(legs[i].rt->Invoke(legs[i].id, 0, leg_ctx, sizeof(leg_ctx),
+                                           traced[run] ? &traces[i] : nullptr));
+    }
+    const InvokeResult& a = results[kOracle];
+    for (size_t i = 0; i < legs.size(); i++) {
+      ASSERT_EQ(a.attached, results[i].attached) << where(legs[i], run);
+    }
+    if (!a.attached) {
+      return;  // cancelled by an earlier run, and unloaded on every leg
+    }
+    ExtensionHeap* heap = legs[kOracle].rt->heap(legs[kOracle].id);
+    for (size_t i = 0; i < legs.size(); i++) {
+      if (i == kOracle) {
+        continue;
+      }
+      const Leg& leg = legs[i];
+      const InvokeResult& r = results[i];
+      ASSERT_EQ(a.cancelled, r.cancelled) << where(leg, run);
+      ASSERT_EQ(a.outcome, r.outcome) << where(leg, run);
+      ASSERT_EQ(a.verdict, r.verdict) << where(leg, run);
+      ASSERT_EQ(traces[kOracle], traces[i]) << "helper traces diverged, " << where(leg, run);
+      if (leg.engine.choice.optimize) {
+        // The oracle's instrumented stream: fault pcs and exact counts agree too.
+        ASSERT_EQ(a.fault_pc, r.fault_pc) << where(leg, run);
+        ASSERT_EQ(a.fault_kind, r.fault_kind) << where(leg, run);
+        ASSERT_EQ(a.insns, r.insns) << "instruction counts diverged, " << where(leg, run);
+        ASSERT_EQ(a.instr_insns, r.instr_insns)
+            << "instrumented counts diverged, " << where(leg, run);
+      }
+      if (heap != nullptr) {
+        ASSERT_EQ(0, std::memcmp(heap->HostAt(0), leg.rt->heap(leg.id)->HostAt(0), kHeap))
+            << "heap contents diverged, " << where(leg, run);
+      }
+    }
+  }
+}
+
 TEST(FuzzDifferential, OptimizedPipelineIsObservationallyEquivalent) {
   Rng rng(0x0B7C0DEULL);
   int compared = 0;
@@ -300,110 +423,8 @@ TEST(FuzzDifferential, OptimizedPipelineIsObservationallyEquivalent) {
     bool kflex = n % 4 != 3;  // mostly KFlex, some strict eBPF
     ProgramGenerator gen(rng, kflex, /*resources=*/false, /*helper_calls=*/true);
     Program p = gen.Generate();
-
-    RuntimeOptions ro{1, 1'000'000'000ULL};
-    Runtime rt_opt{ro};
-    Runtime rt_ref{ro};
-    Runtime rt_jit{ro};
-    Runtime rt_jit2{ro};
-    MakeHelpersDeterministic(rt_opt);
-    MakeHelpersDeterministic(rt_ref);
-    MakeHelpersDeterministic(rt_jit);
-    MakeHelpersDeterministic(rt_jit2);
-    LoadOptions lo;
-    lo.heap_static_bytes = 4096;
-    LoadOptions lo_ref = lo;
-    lo_ref.optimize = false;
-    LoadOptions lo_jit = lo;
-    lo_jit.engine = ExecEngine::kJit;
-    LoadOptions lo_jit2 = lo;
-    lo_jit2.engine = ExecEngine::kJit2;
-    const bool jit = JitHostSupported();
-    auto id_opt = rt_opt.Load(p, lo);
-    auto id_ref = rt_ref.Load(p, lo_ref);
-    auto id_jit = rt_jit.Load(p, lo_jit);
-    auto id_jit2 = rt_jit2.Load(p, lo_jit2);
-    // Neither the optimizer nor the engine choice may change whether a
-    // program loads.
-    ASSERT_EQ(id_opt.ok(), id_ref.ok()) << ProgramToString(p);
-    ASSERT_EQ(id_opt.ok(), id_jit.ok()) << ProgramToString(p);
-    ASSERT_EQ(id_opt.ok(), id_jit2.ok()) << ProgramToString(p);
-    if (!id_opt.ok()) {
-      continue;
-    }
-    if (jit) {
-      // The generator emits only constructs the template JIT supports; a
-      // fallback here is a compiler regression, not an expected path.
-      ASSERT_EQ(rt_jit.engine_info(*id_jit).used, ExecEngine::kJit)
-          << rt_jit.engine_info(*id_jit).fallback_reason << "\n" << ProgramToString(p);
-      ASSERT_EQ(rt_jit2.engine_info(*id_jit2).used, ExecEngine::kJit2)
-          << rt_jit2.engine_info(*id_jit2).fallback_reason << "\n" << ProgramToString(p);
-    }
-    compared++;
-    for (int run = 0; run < 2; run++) {
-      uint8_t ctx_opt[2048];
-      for (auto& b : ctx_opt) {
-        b = static_cast<uint8_t>(rng.Next());
-      }
-      uint8_t ctx_ref[2048];
-      std::memcpy(ctx_ref, ctx_opt, sizeof(ctx_ref));
-      uint8_t ctx_jit[2048];
-      std::memcpy(ctx_jit, ctx_opt, sizeof(ctx_jit));
-      uint8_t ctx_jit2[2048];
-      std::memcpy(ctx_jit2, ctx_opt, sizeof(ctx_jit2));
-
-      std::vector<std::pair<int32_t, uint64_t>> trace_opt, trace_ref, trace_jit, trace_jit2;
-      InvokeResult a = rt_opt.Invoke(*id_opt, 0, ctx_opt, sizeof(ctx_opt), &trace_opt);
-      InvokeResult b = rt_ref.Invoke(*id_ref, 0, ctx_ref, sizeof(ctx_ref), &trace_ref);
-      InvokeResult c = rt_jit.Invoke(*id_jit, 0, ctx_jit, sizeof(ctx_jit), &trace_jit);
-      InvokeResult d = rt_jit2.Invoke(*id_jit2, 0, ctx_jit2, sizeof(ctx_jit2), &trace_jit2);
-      ASSERT_EQ(a.attached, b.attached) << "program " << n << "\n" << ProgramToString(p);
-      ASSERT_EQ(a.attached, c.attached) << "program " << n << "\n" << ProgramToString(p);
-      ASSERT_EQ(a.attached, d.attached) << "program " << n << "\n" << ProgramToString(p);
-      if (!a.attached) {
-        break;
-      }
-      ASSERT_EQ(a.cancelled, b.cancelled) << "program " << n << "\n" << ProgramToString(p);
-      ASSERT_EQ(a.outcome, b.outcome) << "program " << n << "\n" << ProgramToString(p);
-      ASSERT_EQ(a.verdict, b.verdict) << "program " << n << "\n" << ProgramToString(p);
-      ASSERT_EQ(trace_opt, trace_ref)
-          << "helper traces diverged, program " << n << "\n" << ProgramToString(p);
-      // JITs vs optimized interpreter: same instruction stream, so everything
-      // must agree — including fault pcs and exact instruction counts.
-      for (const InvokeResult* r : {&c, &d}) {
-        const char* engine = r == &c ? "jit" : "jit2";
-        ASSERT_EQ(a.cancelled, r->cancelled)
-            << engine << " program " << n << "\n" << ProgramToString(p);
-        ASSERT_EQ(a.outcome, r->outcome)
-            << engine << " program " << n << "\n" << ProgramToString(p);
-        ASSERT_EQ(a.verdict, r->verdict)
-            << engine << " program " << n << "\n" << ProgramToString(p);
-        ASSERT_EQ(a.fault_pc, r->fault_pc)
-            << engine << " program " << n << "\n" << ProgramToString(p);
-        ASSERT_EQ(a.fault_kind, r->fault_kind)
-            << engine << " program " << n << "\n" << ProgramToString(p);
-        ASSERT_EQ(a.insns, r->insns) << engine << " instruction counts diverged, program "
-                                     << n << "\n" << ProgramToString(p);
-        ASSERT_EQ(a.instr_insns, r->instr_insns)
-            << engine << " instrumented counts diverged, program " << n << "\n"
-            << ProgramToString(p);
-      }
-      ASSERT_EQ(trace_opt, trace_jit)
-          << "JIT helper trace diverged, program " << n << "\n" << ProgramToString(p);
-      ASSERT_EQ(trace_opt, trace_jit2)
-          << "JIT v2 helper trace diverged, program " << n << "\n" << ProgramToString(p);
-      if (rt_opt.heap(*id_opt) != nullptr) {
-        ASSERT_EQ(0, std::memcmp(rt_opt.heap(*id_opt)->HostAt(0),
-                                 rt_ref.heap(*id_ref)->HostAt(0), kHeap))
-            << "heap contents diverged, program " << n << "\n" << ProgramToString(p);
-        ASSERT_EQ(0, std::memcmp(rt_opt.heap(*id_opt)->HostAt(0),
-                                 rt_jit.heap(*id_jit)->HostAt(0), kHeap))
-            << "JIT heap contents diverged, program " << n << "\n" << ProgramToString(p);
-        ASSERT_EQ(0, std::memcmp(rt_opt.heap(*id_opt)->HostAt(0),
-                                 rt_jit2.heap(*id_jit2)->HostAt(0), kHeap))
-            << "JIT v2 heap contents diverged, program " << n << "\n" << ProgramToString(p);
-      }
-    }
+    std::vector<Leg> legs = MakeLegs(MakeHelpersDeterministic);
+    ASSERT_NO_FATAL_FAILURE(CompareLegs(legs, p, n, rng, {true, true}, &compared));
   }
   // The generator is acceptance-biased: most programs must actually compare.
   EXPECT_GT(compared, kPrograms / 4) << "generator drifted: too few accepted programs";
@@ -411,7 +432,7 @@ TEST(FuzzDifferential, OptimizedPipelineIsObservationallyEquivalent) {
 
 // A corpus slice concentrated on the netfn instruction shapes — the
 // consistent-hash ring probe (lb) and the token-bucket debit (guard) — via
-// the generator's netfn_bias knob. Same three-way contract as the main
+// the generator's netfn_bias knob. Same four-way contract as the main
 // differential test, with the exact-insn-count comparison between the
 // optimized interpreter and the JIT doing the heavy lifting: these are the
 // inner loops the scenario suite prices in simulated time, so a single
@@ -424,80 +445,8 @@ TEST(FuzzDifferential, NetfnHashAndBucketShapesStayExact) {
     ProgramGenerator gen(rng, /*kflex=*/true, /*resources=*/false,
                          /*helper_calls=*/false, /*netfn_bias=*/true);
     Program p = gen.Generate();
-
-    RuntimeOptions ro{1, 1'000'000'000ULL};
-    Runtime rt_opt{ro};
-    Runtime rt_ref{ro};
-    Runtime rt_jit{ro};
-    Runtime rt_jit2{ro};
-    LoadOptions lo;
-    lo.heap_static_bytes = 4096;
-    LoadOptions lo_ref = lo;
-    lo_ref.optimize = false;
-    LoadOptions lo_jit = lo;
-    lo_jit.engine = ExecEngine::kJit;
-    LoadOptions lo_jit2 = lo;
-    lo_jit2.engine = ExecEngine::kJit2;
-    auto id_opt = rt_opt.Load(p, lo);
-    auto id_ref = rt_ref.Load(p, lo_ref);
-    auto id_jit = rt_jit.Load(p, lo_jit);
-    auto id_jit2 = rt_jit2.Load(p, lo_jit2);
-    ASSERT_EQ(id_opt.ok(), id_ref.ok()) << ProgramToString(p);
-    ASSERT_EQ(id_opt.ok(), id_jit.ok()) << ProgramToString(p);
-    ASSERT_EQ(id_opt.ok(), id_jit2.ok()) << ProgramToString(p);
-    if (!id_opt.ok()) {
-      continue;
-    }
-    compared++;
-    for (int run = 0; run < 2; run++) {
-      uint8_t ctx_opt[2048];
-      for (auto& byte : ctx_opt) {
-        byte = static_cast<uint8_t>(rng.Next());
-      }
-      uint8_t ctx_ref[2048];
-      std::memcpy(ctx_ref, ctx_opt, sizeof(ctx_ref));
-      uint8_t ctx_jit[2048];
-      std::memcpy(ctx_jit, ctx_opt, sizeof(ctx_jit));
-      uint8_t ctx_jit2[2048];
-      std::memcpy(ctx_jit2, ctx_opt, sizeof(ctx_jit2));
-
-      InvokeResult a = rt_opt.Invoke(*id_opt, 0, ctx_opt, sizeof(ctx_opt));
-      InvokeResult b = rt_ref.Invoke(*id_ref, 0, ctx_ref, sizeof(ctx_ref));
-      InvokeResult c = rt_jit.Invoke(*id_jit, 0, ctx_jit, sizeof(ctx_jit));
-      InvokeResult d = rt_jit2.Invoke(*id_jit2, 0, ctx_jit2, sizeof(ctx_jit2));
-      ASSERT_EQ(a.attached, b.attached) << "program " << n << "\n" << ProgramToString(p);
-      ASSERT_EQ(a.attached, c.attached) << "program " << n << "\n" << ProgramToString(p);
-      ASSERT_EQ(a.attached, d.attached) << "program " << n << "\n" << ProgramToString(p);
-      if (!a.attached) {
-        break;
-      }
-      ASSERT_EQ(a.cancelled, b.cancelled) << "program " << n << "\n" << ProgramToString(p);
-      ASSERT_EQ(a.outcome, b.outcome) << "program " << n << "\n" << ProgramToString(p);
-      ASSERT_EQ(a.verdict, b.verdict) << "program " << n << "\n" << ProgramToString(p);
-      for (const InvokeResult* r : {&c, &d}) {
-        ASSERT_EQ(a.cancelled, r->cancelled) << "program " << n << "\n" << ProgramToString(p);
-        ASSERT_EQ(a.outcome, r->outcome) << "program " << n << "\n" << ProgramToString(p);
-        ASSERT_EQ(a.verdict, r->verdict) << "program " << n << "\n" << ProgramToString(p);
-        ASSERT_EQ(a.fault_pc, r->fault_pc) << "program " << n << "\n" << ProgramToString(p);
-        ASSERT_EQ(a.fault_kind, r->fault_kind)
-            << "program " << n << "\n" << ProgramToString(p);
-        ASSERT_EQ(a.insns, r->insns)
-            << "instruction counts diverged, program " << n << "\n" << ProgramToString(p);
-        ASSERT_EQ(a.instr_insns, r->instr_insns)
-            << "instrumented counts diverged, program " << n << "\n" << ProgramToString(p);
-      }
-      if (rt_opt.heap(*id_opt) != nullptr) {
-        ASSERT_EQ(0, std::memcmp(rt_opt.heap(*id_opt)->HostAt(0),
-                                 rt_ref.heap(*id_ref)->HostAt(0), kHeap))
-            << "heap contents diverged, program " << n << "\n" << ProgramToString(p);
-        ASSERT_EQ(0, std::memcmp(rt_opt.heap(*id_opt)->HostAt(0),
-                                 rt_jit.heap(*id_jit)->HostAt(0), kHeap))
-            << "JIT heap contents diverged, program " << n << "\n" << ProgramToString(p);
-        ASSERT_EQ(0, std::memcmp(rt_opt.heap(*id_opt)->HostAt(0),
-                                 rt_jit2.heap(*id_jit2)->HostAt(0), kHeap))
-            << "JIT v2 heap contents diverged, program " << n << "\n" << ProgramToString(p);
-      }
-    }
+    std::vector<Leg> legs = MakeLegs();
+    ASSERT_NO_FATAL_FAILURE(CompareLegs(legs, p, n, rng, {false, false}, &compared));
   }
   EXPECT_GT(compared, kPrograms / 4) << "generator drifted: too few accepted programs";
 }
@@ -512,125 +461,31 @@ TEST(FuzzDifferential, NetfnHashAndBucketShapesStayExact) {
 // the inline fast paths genuinely execute (with a sink armed every inline
 // site bails to the traced callout). Every observable — verdict, outcome,
 // fault pc and kind, exact retired and instrumented instruction counts,
-// helper traces, full heap bytes — must agree across all four engines.
+// helper traces, full heap bytes — must agree across all four legs.
 TEST(FuzzDifferential, RegallocAdversarialFourWayExact) {
   Rng rng(0xA11C47ULL);
   int compared = 0;
   constexpr int kPrograms = 200;
   for (int n = 0; n < kPrograms; n++) {
     bool kflex = n % 3 != 2;
-    RuntimeOptions ro{1, 1'000'000'000ULL};
-    Runtime rt_ref{ro};
-    Runtime rt_opt{ro};
-    Runtime rt_jit{ro};
-    Runtime rt_jit2{ro};
     uint32_t array_id = 0;
     uint32_t hash_id = 0;
-    for (Runtime* rt : {&rt_ref, &rt_opt, &rt_jit, &rt_jit2}) {
-      MakeHelpersDeterministic(*rt);
+    auto setup = [&](Runtime& rt) {
+      MakeHelpersDeterministic(rt);
       // Same creation order in every registry -> same ids everywhere.
-      auto arr = rt->maps().CreateArray(4, 8, 16);
-      auto hash = rt->maps().CreateHash(4, 8, 16);
+      auto arr = rt.maps().CreateArray(4, 8, 16);
+      auto hash = rt.maps().CreateHash(4, 8, 16);
       ASSERT_TRUE(arr.ok() && hash.ok());
       array_id = arr->id;
       hash_id = hash->id;
-    }
+    };
+    std::vector<Leg> legs;
+    ASSERT_NO_FATAL_FAILURE(legs = MakeLegs(setup));
     ProgramGenerator gen(rng, kflex, /*resources=*/false, /*helper_calls=*/true,
                          /*netfn_bias=*/false, /*regalloc_adversarial=*/true);
     gen.EnableMapOps(array_id, hash_id);
     Program p = gen.Generate();
-
-    LoadOptions lo;
-    lo.heap_static_bytes = 4096;
-    LoadOptions lo_ref = lo;
-    lo_ref.optimize = false;
-    LoadOptions lo_jit = lo;
-    lo_jit.engine = ExecEngine::kJit;
-    LoadOptions lo_jit2 = lo;
-    lo_jit2.engine = ExecEngine::kJit2;
-    auto id_ref = rt_ref.Load(p, lo_ref);
-    auto id_opt = rt_opt.Load(p, lo);
-    auto id_jit = rt_jit.Load(p, lo_jit);
-    auto id_jit2 = rt_jit2.Load(p, lo_jit2);
-    ASSERT_EQ(id_opt.ok(), id_ref.ok()) << ProgramToString(p);
-    ASSERT_EQ(id_opt.ok(), id_jit.ok()) << ProgramToString(p);
-    ASSERT_EQ(id_opt.ok(), id_jit2.ok()) << ProgramToString(p);
-    if (!id_opt.ok()) {
-      continue;
-    }
-    if (JitHostSupported()) {
-      ASSERT_EQ(rt_jit.engine_info(*id_jit).used, ExecEngine::kJit)
-          << rt_jit.engine_info(*id_jit).fallback_reason << "\n" << ProgramToString(p);
-      ASSERT_EQ(rt_jit2.engine_info(*id_jit2).used, ExecEngine::kJit2)
-          << rt_jit2.engine_info(*id_jit2).fallback_reason << "\n" << ProgramToString(p);
-    }
-    compared++;
-    for (int run = 0; run < 3; run++) {
-      const bool traced = run != 1;
-      uint8_t ctx[2048];
-      for (auto& byte : ctx) {
-        byte = static_cast<uint8_t>(rng.Next());
-      }
-      uint8_t ctx_ref[2048], ctx_jit[2048], ctx_jit2[2048];
-      std::memcpy(ctx_ref, ctx, sizeof(ctx_ref));
-      std::memcpy(ctx_jit, ctx, sizeof(ctx_jit));
-      std::memcpy(ctx_jit2, ctx, sizeof(ctx_jit2));
-
-      std::vector<std::pair<int32_t, uint64_t>> trace_opt, trace_ref, trace_jit, trace_jit2;
-      InvokeResult a = rt_opt.Invoke(*id_opt, 0, ctx, sizeof(ctx),
-                                     traced ? &trace_opt : nullptr);
-      InvokeResult b = rt_ref.Invoke(*id_ref, 0, ctx_ref, sizeof(ctx_ref),
-                                     traced ? &trace_ref : nullptr);
-      InvokeResult c = rt_jit.Invoke(*id_jit, 0, ctx_jit, sizeof(ctx_jit),
-                                     traced ? &trace_jit : nullptr);
-      InvokeResult d = rt_jit2.Invoke(*id_jit2, 0, ctx_jit2, sizeof(ctx_jit2),
-                                      traced ? &trace_jit2 : nullptr);
-      ASSERT_EQ(a.attached, b.attached) << "program " << n << "\n" << ProgramToString(p);
-      ASSERT_EQ(a.attached, c.attached) << "program " << n << "\n" << ProgramToString(p);
-      ASSERT_EQ(a.attached, d.attached) << "program " << n << "\n" << ProgramToString(p);
-      if (!a.attached) {
-        break;
-      }
-      ASSERT_EQ(a.cancelled, b.cancelled) << "program " << n << "\n" << ProgramToString(p);
-      ASSERT_EQ(a.outcome, b.outcome) << "program " << n << "\n" << ProgramToString(p);
-      ASSERT_EQ(a.verdict, b.verdict) << "program " << n << "\n" << ProgramToString(p);
-      ASSERT_EQ(trace_opt, trace_ref)
-          << "helper traces diverged, program " << n << "\n" << ProgramToString(p);
-      for (const InvokeResult* r : {&c, &d}) {
-        const char* engine = r == &c ? "jit" : "jit2";
-        ASSERT_EQ(a.cancelled, r->cancelled)
-            << engine << " run " << run << " program " << n << "\n" << ProgramToString(p);
-        ASSERT_EQ(a.outcome, r->outcome)
-            << engine << " run " << run << " program " << n << "\n" << ProgramToString(p);
-        ASSERT_EQ(a.verdict, r->verdict)
-            << engine << " run " << run << " program " << n << "\n" << ProgramToString(p);
-        ASSERT_EQ(a.fault_pc, r->fault_pc)
-            << engine << " run " << run << " program " << n << "\n" << ProgramToString(p);
-        ASSERT_EQ(a.fault_kind, r->fault_kind)
-            << engine << " run " << run << " program " << n << "\n" << ProgramToString(p);
-        ASSERT_EQ(a.insns, r->insns)
-            << engine << " instruction counts diverged, run " << run << " program " << n
-            << "\n" << ProgramToString(p);
-        ASSERT_EQ(a.instr_insns, r->instr_insns)
-            << engine << " instrumented counts diverged, run " << run << " program " << n
-            << "\n" << ProgramToString(p);
-      }
-      ASSERT_EQ(trace_opt, trace_jit)
-          << "JIT helper trace diverged, program " << n << "\n" << ProgramToString(p);
-      ASSERT_EQ(trace_opt, trace_jit2)
-          << "JIT v2 helper trace diverged, program " << n << "\n" << ProgramToString(p);
-      if (rt_opt.heap(*id_opt) != nullptr) {
-        ASSERT_EQ(0, std::memcmp(rt_opt.heap(*id_opt)->HostAt(0),
-                                 rt_ref.heap(*id_ref)->HostAt(0), kHeap))
-            << "heap contents diverged, program " << n << "\n" << ProgramToString(p);
-        ASSERT_EQ(0, std::memcmp(rt_opt.heap(*id_opt)->HostAt(0),
-                                 rt_jit.heap(*id_jit)->HostAt(0), kHeap))
-            << "JIT heap contents diverged, program " << n << "\n" << ProgramToString(p);
-        ASSERT_EQ(0, std::memcmp(rt_opt.heap(*id_opt)->HostAt(0),
-                                 rt_jit2.heap(*id_jit2)->HostAt(0), kHeap))
-            << "JIT v2 heap contents diverged, program " << n << "\n" << ProgramToString(p);
-      }
-    }
+    ASSERT_NO_FATAL_FAILURE(CompareLegs(legs, p, n, rng, {true, false, true}, &compared));
   }
   EXPECT_GT(compared, kPrograms / 4) << "generator drifted: too few accepted programs";
 }

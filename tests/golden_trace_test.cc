@@ -1,8 +1,9 @@
 // Golden-trace regression test: the *semantic* observability event stream —
 // helper calls, demand page-ins, guard trips, cancellations — must be
-// byte-identical across all four execution engines (reference interpreter,
-// optimized interpreter, JIT v1, JIT v2) for the same workload, and must match the
-// checked-in golden file tests/golden/trace_events.txt. Engine-tagged
+// byte-identical across the four engine rows of tests/engine_configs.h
+// (reference interpreter, optimized interpreter, JIT v1, JIT v2) for the same
+// workload, and must match the checked-in golden file
+// tests/golden/trace_events.txt. Engine-tagged
 // pipeline events (jit.compile, jit.fallback, verifier/kie summaries) are
 // excluded by construction: only events emitted on engine-shared slow paths
 // participate.
@@ -25,34 +26,12 @@
 #include "src/kernel/kernel.h"
 #include "src/kernel/packet.h"
 #include "src/obs/obs.h"
+#include "tests/engine_configs.h"
 
 namespace kflex {
 namespace {
 
 bool g_regen = false;
-
-struct EngineConfig {
-  const char* name;
-  EngineChoice choice;
-};
-
-std::vector<EngineConfig> Engines() {
-  std::vector<EngineConfig> engines;
-  engines.push_back({"ref-interp", {/*optimize=*/false, ExecEngine::kInterp, {}}});
-  engines.push_back({"opt-interp", {/*optimize=*/true, ExecEngine::kInterp, {}}});
-  // fast_paths=false sends every JIT memory access through the shared
-  // translation stub, so heap events fire on the interpreter's schedule.
-  JitOptions jit;
-  jit.fast_paths = false;
-  engines.push_back({"jit", {/*optimize=*/true, ExecEngine::kJit, jit}});
-  // JIT v2 with all optimizer passes armed. Tracing is enabled for every
-  // golden run, so inline helper sites bail to the traced callout and the
-  // helper stream stays on the interpreter's schedule by construction.
-  JitOptions jit2 = jit;
-  jit2.v2 = true;
-  engines.push_back({"jit2", {/*optimize=*/true, ExecEngine::kJit2, jit2}});
-  return engines;
-}
 
 // Projects the raw trace onto the engine-independent subset. Fields that are
 // legitimately pipeline-dependent are dropped: the unwind pc moves when the

@@ -74,25 +74,23 @@ EngineRun RunOn(const Program& program, ExecEngine engine, const uint8_t* ctx,
 // failure offline: the program as round-trippable text assembly and the
 // native code region the failing engine compiled (hex, 16 bytes per line —
 // feed to `objdump -D -b binary -m i386:x86-64` or any disassembler).
-void DumpMismatch(const Program& program, LoadOptions lo, ExecEngine jit_engine) {
+void DumpMismatch(const Program& program, LoadOptions lo) {
   StatusOr<std::string> text = ProgramToTextAsm(program);
   std::fprintf(stderr, "=== differential mismatch (%s): program ===\n%s",
-               ExecEngineName(jit_engine),
+               lo.jit.v2 ? "jit v2" : "jit",
                text.ok() ? text->c_str() : "<ProgramToTextAsm failed>\n");
   Runtime rt;
-  lo.engine = jit_engine;
+  lo.engine = ExecEngine::kJit;
   auto id = rt.Load(program, lo);
   if (!id.ok()) {
     std::fprintf(stderr, "(reload for native dump failed: %s)\n",
                  id.status().ToString().c_str());
     return;
   }
-  JitOptions jo = lo.jit;
-  jo.v2 = jo.v2 || jit_engine == ExecEngine::kJit2;
   JitCompileEnv env;
   env.helpers = &rt.helpers();
   env.maps = &rt.maps();
-  JitCompileResult r = JitCompile(rt.instrumented(*id), jo, env);
+  JitCompileResult r = JitCompile(rt.instrumented(*id), lo.jit, env);
   if (r.program == nullptr) {
     std::fprintf(stderr, "(recompile for native dump fell back: %s)\n",
                  r.fallback_reason.c_str());
@@ -110,22 +108,22 @@ void DumpMismatch(const Program& program, LoadOptions lo, ExecEngine jit_engine)
   }
 }
 
-// Loads + invokes on both engines and compares everything observable.
+// Loads + invokes on the interpreter and on the JIT (compiled under lo.jit, so
+// lo.jit.v2 selects the v2 passes) and compares everything observable.
 // Returns the JIT run for additional assertions.
 EngineRun ExpectParity(const Program& program, const uint8_t* ctx, uint32_t ctx_size,
                        LoadOptions lo = {}, RuntimeOptions ro = {},
-                       bool cancel_before_invoke = false,
-                       ExecEngine jit_engine = ExecEngine::kJit) {
+                       bool cancel_before_invoke = false) {
   bool failed_before = ::testing::Test::HasFailure();
   EngineRun interp =
       RunOn(program, ExecEngine::kInterp, ctx, ctx_size, lo, ro, cancel_before_invoke);
   EngineRun jit =
-      RunOn(program, jit_engine, ctx, ctx_size, lo, ro, cancel_before_invoke);
+      RunOn(program, ExecEngine::kJit, ctx, ctx_size, lo, ro, cancel_before_invoke);
   EXPECT_EQ(interp.loaded, jit.loaded);
   if (!interp.loaded || !jit.loaded) {
     return jit;
   }
-  EXPECT_EQ(jit.info.used, jit_engine)
+  EXPECT_EQ(jit.info.used, ExecEngine::kJit)
       << "unexpected fallback: " << jit.info.fallback_reason;
   EXPECT_EQ(interp.result.attached, jit.result.attached);
   EXPECT_EQ(interp.result.cancelled, jit.result.cancelled);
@@ -144,7 +142,7 @@ EngineRun ExpectParity(const Program& program, const uint8_t* ctx, uint32_t ctx_
         << "heap contents diverged";
   }
   if (!failed_before && ::testing::Test::HasFailure()) {
-    DumpMismatch(program, lo, jit_engine);
+    DumpMismatch(program, lo);
   }
   return jit;
 }
@@ -638,8 +636,9 @@ TEST(Jit, InterpreterEngineNeverCompiles) {
 // single pass; the knob sweeps below run each configuration against the
 // interpreter.
 
-LoadOptions V2Load(bool regalloc, bool hoist, bool inline_helpers) {
+LoadOptions V2Load(bool regalloc = true, bool hoist = true, bool inline_helpers = true) {
   LoadOptions lo;
+  lo.jit.v2 = true;
   lo.jit.regalloc = regalloc;
   lo.jit.hoist_guards = hoist;
   lo.jit.inline_helpers = inline_helpers;
@@ -682,7 +681,7 @@ TEST(Jit2, GuardedScatterLoopParityAllKnobs) {
                            kHeapSize * 7 + 8, kHeapSize / 2}) {
       KvPacket pkt;
       std::memcpy(pkt.data(), &delta, 8);
-      ExpectParity(p, pkt.data(), pkt.size(), lo, {}, false, ExecEngine::kJit2);
+      ExpectParity(p, pkt.data(), pkt.size(), lo);
     }
   }
 }
@@ -704,10 +703,10 @@ TEST(Jit2, AtomicsParity) {
   a.LoopEnd(loop);
   a.Exit();
   Program p = MustBuild(a);
-  LoadOptions lo;
+  LoadOptions lo = V2Load();
   lo.heap_static_bytes = 256;
   KvPacket pkt;
-  ExpectParity(p, pkt.data(), pkt.size(), lo, {}, false, ExecEngine::kJit2);
+  ExpectParity(p, pkt.data(), pkt.size(), lo);
 }
 
 TEST(Jit2, PreArmedCancellationParity) {
@@ -722,8 +721,8 @@ TEST(Jit2, PreArmedCancellationParity) {
   a.Jmp(head);
   Program p = MustBuild(a);
   KvPacket pkt;
-  EngineRun jit = ExpectParity(p, pkt.data(), pkt.size(), {}, {},
-                               /*cancel_before_invoke=*/true, ExecEngine::kJit2);
+  EngineRun jit = ExpectParity(p, pkt.data(), pkt.size(), V2Load(), {},
+                               /*cancel_before_invoke=*/true);
   EXPECT_TRUE(jit.result.cancelled);
 }
 
@@ -731,13 +730,13 @@ TEST(Jit2, EngineInfoReportsOptimizerStats) {
   SKIP_WITHOUT_JIT();
   Program p = GuardedScatterLoop();
   Runtime rt;
-  LoadOptions lo;
-  lo.engine = ExecEngine::kJit2;
+  LoadOptions lo = V2Load();
+  lo.engine = ExecEngine::kJit;
   lo.heap_static_bytes = 256;
   auto id = rt.Load(p, lo);
   ASSERT_TRUE(id.ok()) << id.status().ToString();
   EngineInfo info = rt.engine_info(*id);
-  ASSERT_EQ(info.used, ExecEngine::kJit2) << info.fallback_reason;
+  ASSERT_EQ(info.used, ExecEngine::kJit) << info.fallback_reason;
   EXPECT_GT(info.stats.interval_regs, 0u);
   EXPECT_GT(info.stats.interval_pcs, 0u);
   EXPECT_GT(info.stats.hoisted_guards, 0u);
@@ -799,10 +798,10 @@ TEST(Jit2, HashMapLookupInlineParity) {
         return out;
       };
       EngineRun interp = run(ExecEngine::kInterp);
-      EngineRun jit = run(ExecEngine::kJit2);
+      EngineRun jit = run(ExecEngine::kJit);
       ASSERT_TRUE(interp.loaded);
       ASSERT_TRUE(jit.loaded);
-      ASSERT_EQ(jit.info.used, ExecEngine::kJit2) << jit.info.fallback_reason;
+      ASSERT_EQ(jit.info.used, ExecEngine::kJit) << jit.info.fallback_reason;
       if (inline_on) {
         EXPECT_EQ(jit.info.stats.inline_helper_sites, 1u);  // lookup, not update
       } else {
@@ -839,7 +838,7 @@ TEST(Jit2, ArrayMapLookupInlineParity) {
       a.Exit();
       auto p = a.Finish("arr", Hook::kXdp, ExtensionMode::kEbpf, /*heap=*/0);
       EXPECT_TRUE(p.ok()) << p.status().ToString();
-      LoadOptions lo;
+      LoadOptions lo = V2Load();
       lo.engine = engine;
       auto id = rt.Load(*p, lo);
       out.loaded = id.ok();
@@ -852,10 +851,10 @@ TEST(Jit2, ArrayMapLookupInlineParity) {
       return out;
     };
     EngineRun interp = run(ExecEngine::kInterp);
-    EngineRun jit = run(ExecEngine::kJit2);
+    EngineRun jit = run(ExecEngine::kJit);
     ASSERT_TRUE(interp.loaded);
     ASSERT_TRUE(jit.loaded);
-    ASSERT_EQ(jit.info.used, ExecEngine::kJit2) << jit.info.fallback_reason;
+    ASSERT_EQ(jit.info.used, ExecEngine::kJit) << jit.info.fallback_reason;
     EXPECT_EQ(jit.info.stats.inline_helper_sites, 1u);
     EXPECT_EQ(interp.result.verdict, jit.result.verdict);
     EXPECT_EQ(interp.result.insns, jit.result.insns);

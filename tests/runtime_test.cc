@@ -55,6 +55,7 @@ TEST(RuntimeE2E, HeapGlobalRoundTrip) {
 // out-of-range values must be rejected (attached=false), not trusted — shard
 // workers compute it, and a bad index would corrupt a foreign arena.
 TEST(RuntimeE2E, InvokeRejectsOutOfRangeCpu) {
+  ScopedObsEnable metrics_on(/*trace=*/false, /*metrics=*/true);
   RuntimeOptions opts;
   opts.num_cpus = 2;
   Runtime runtime{opts};
@@ -75,8 +76,14 @@ TEST(RuntimeE2E, InvokeRejectsOutOfRangeCpu) {
       << "cpu == num_cpus is out of range";
   EXPECT_FALSE(runtime.Invoke(*id, -1, ctx, sizeof(ctx)).attached);
   EXPECT_FALSE(runtime.Invoke(*id, 1 << 20, ctx, sizeof(ctx)).attached);
-  // Rejected invocations leave no trace in the stats or invariants.
-  EXPECT_EQ(runtime.GetStats(*id).invocations, 2u);
+  // Rejected invocations leave no trace in the metrics or invariants.
+  uint64_t invocations = 0;
+  for (const ObsExtSnapshot& ext : runtime.SnapshotMetrics().extensions) {
+    if (ext.id == runtime.obs_id(*id)) {
+      invocations = ext.counters[static_cast<size_t>(ObsCounter::kInvocations)];
+    }
+  }
+  EXPECT_EQ(invocations, 2u);
   InvariantReport sweep = runtime.SweepInvariants(*id);
   EXPECT_TRUE(sweep.ok()) << sweep.ToString();
 }

@@ -1,11 +1,16 @@
 // Closed-loop simulator: deterministic scenarios with analytically known
 // outcomes, plus smoke checks that the paper's qualitative ordering
-// (KFlex > BMC > user space) emerges from the real data planes.
+// (KFlex > BMC > user space) emerges from the real data planes. Open-loop
+// core: exact CostModel pricing, seed determinism and the price of an
+// unattached request on a one-shard runtime.
 #include "src/sim/closedloop.h"
 
 #include <gtest/gtest.h>
 
+#include "src/ebpf/assembler.h"
+#include "src/kernel/costmodel.h"
 #include "src/sim/kv_models.h"
+#include "src/sim/openloop.h"
 
 namespace kflex {
 namespace {
@@ -182,6 +187,99 @@ TEST(ClosedLoop, OpMixFollowsGetFraction) {
   double frac =
       static_cast<double>(model.gets) / static_cast<double>(model.gets + model.sets);
   EXPECT_NEAR(frac, 0.9, 0.01);
+}
+
+// ---- the open-loop core (src/sim/openloop.h) ----
+
+constexpr uint32_t kOpenLoopCtx = 64;
+
+// One guarded heap store through a ctx offset. The ctx stays zeroed, so
+// every request retires the same plain and instrumentation instructions.
+StatusOr<ShardExtId> LoadFixedStore(ShardedRuntime& sharded) {
+  Assembler a;
+  a.Ldx(BPF_W, R2, R1, 0);
+  a.LoadHeapAddr(R3, 64);
+  a.Add(R3, R2);
+  a.StImm(BPF_DW, R3, 0, 1);
+  a.MovImm(R0, 0);
+  a.Exit();
+  auto p = a.Finish("fixed_store", Hook::kTracepoint, ExtensionMode::kKflex, 1 << 16);
+  if (!p.ok()) {
+    return p.status();
+  }
+  LoadOptions lo;
+  lo.heap_static_bytes = 128;
+  return sharded.Load(*p, lo);
+}
+
+uint64_t ZeroCtx(uint64_t, uint64_t, uint64_t client, uint8_t*, uint32_t) { return client; }
+
+OpenLoopConfig SmallOpenLoop() {
+  OpenLoopConfig config;
+  config.clients = 1000;
+  config.total_requests = 2000;
+  config.key_space = 1000;
+  config.window = 128;
+  return config;
+}
+
+TEST(OpenLoop, CapacityIsPricedByTheCostModel) {
+  ShardedRuntime sharded;  // one shard
+  auto ext = LoadFixedStore(sharded);
+  ASSERT_TRUE(ext.ok()) << ext.status().ToString();
+  uint8_t ctx[kOpenLoopCtx] = {0};
+  InvokeResult one = sharded.InvokeSync(*ext, 0, ctx, sizeof(ctx));
+  ASSERT_TRUE(one.attached && !one.cancelled);
+  ASSERT_GT(one.instr_insns, 0u) << "the store should carry a Kie guard";
+  const CostModel cost;
+  const uint64_t service = cost.XdpPathUdp() + cost.ComputeNs(one.insns, one.instr_insns);
+
+  OpenLoopConfig config = SmallOpenLoop();
+  OpenLoopResult r = RunOpenLoop(sharded, *ext, config, kOpenLoopCtx, ZeroCtx);
+  EXPECT_EQ(r.total_insns, config.total_requests * one.insns);
+  EXPECT_EQ(r.simulated_busy_ns, config.total_requests * service);
+  EXPECT_DOUBLE_EQ(r.throughput_mops * 1e6, 1e9 / static_cast<double>(service));
+}
+
+TEST(OpenLoop, SameSeedGivesIdenticalHistograms) {
+  Histogram runs[2];
+  for (Histogram& h : runs) {
+    ShardedRuntime sharded;
+    auto ext = LoadFixedStore(sharded);
+    ASSERT_TRUE(ext.ok()) << ext.status().ToString();
+    h = RunOpenLoop(sharded, *ext, SmallOpenLoop(), kOpenLoopCtx, ZeroCtx).latency;
+  }
+  EXPECT_GT(runs[0].count(), 0u);
+  EXPECT_EQ(runs[0].min(), runs[1].min());
+  EXPECT_EQ(runs[0].Summary(), runs[1].Summary());
+}
+
+TEST(OpenLoop, UnattachedRequestPaysTheFixedPathOnly) {
+  ShardedRuntime sharded;
+  auto ext = LoadFixedStore(sharded);
+  ASSERT_TRUE(ext.ok()) << ext.status().ToString();
+  // Detach the replica under the dispatcher: requests still run through the
+  // shard, and Runtime::Invoke answers attached=false without executing.
+  sharded.runtime().Unload(sharded.placement(*ext).replicas.front());
+
+  OpenLoopPlan plan;
+  plan.total_requests = 200;
+  plan.window = 32;
+  plan.ctx_stride = kOpenLoopCtx;
+  OpenLoopHooks hooks;
+  hooks.build = [&](uint64_t i, uint8_t*) {
+    OpenLoopRequest req;
+    req.ext = *ext;
+    req.ctx_size = kOpenLoopCtx;
+    req.flow_hash = i;
+    return req;
+  };
+  uint64_t unattached = 0;
+  hooks.account = [&](uint8_t, const InvokeResult& r) { unattached += r.attached ? 0 : 1; };
+  hooks.record = [](uint8_t, uint64_t) {};
+  OpenLoopTotals totals = RunOpenLoopCore(sharded, plan, hooks);
+  EXPECT_EQ(unattached, plan.total_requests);
+  EXPECT_EQ(totals.busy_ns, plan.total_requests * CostModel{}.XdpPathUdp());
 }
 
 }  // namespace

@@ -110,6 +110,16 @@ TEST(TenantScenario, RejectsBadConfig) {
   config = SmokeConfig();
   config.num_shards = 0;
   EXPECT_FALSE(RunTenantScenario(config).ok());
+  // No positive replay rate: the arrival gaps would be infinite or negative.
+  for (double load : {0.0, -0.5}) {
+    config = SmokeConfig();
+    config.offered_load = load;
+    EXPECT_FALSE(RunTenantScenario(config).ok()) << load;
+  }
+  // More shards than a replay record can name.
+  config = SmokeConfig();
+  config.num_shards = 257;
+  EXPECT_FALSE(RunTenantScenario(config).ok());
 }
 
 }  // namespace

@@ -11,8 +11,8 @@
 //   --ctx HEX    fill the leading context bytes from a hex string
 //   --engine E   execution engine: interp (default), jit (native x86-64;
 //                falls back to the interpreter on unsupported hosts), or
-//                jit2 (JIT with register allocation, helper inlining and
-//                loop-guard hoisting; see docs/jit.md)
+//                jit2 (the JIT with JitOptions::v2: register allocation,
+//                helper inlining and loop-guard hoisting; see docs/jit.md)
 //   --jit-stats  print compile statistics / fallback reason after loading
 //   --fault F    arm deterministic fault injection; F is "point:spec" (see
 //                docs/faults.md, e.g. heap.pagein:nth=3) or "list" to print
@@ -77,6 +77,11 @@ int Usage() {
   return 1;
 }
 
+// The CLI name of an engine: jit2 is the JIT compiled with JitOptions::v2.
+const char* EngineName(ExecEngine engine, const JitOptions& jit) {
+  return engine == ExecEngine::kJit && jit.v2 ? "jit2" : ExecEngineName(engine);
+}
+
 // Writes the resident trace events as text to `trace_path` ("-" = stdout).
 int DumpTrace(const std::string& trace_path) {
   FILE* out = stdout;
@@ -122,11 +127,9 @@ void PrintMetricsDoc(std::string doc, const std::string& shards_json) {
 // --scenario=lb|ddos|traceagg: one netfn extension on the mock kernel fed
 // with --invoke N deterministic synthetic events.
 int RunNetfnScenario(const std::string& scenario, int invocations,
-                     ExecEngine engine, bool metrics_json, bool trace_on,
+                     const EngineChoice& choice, bool metrics_json, bool trace_on,
                      const std::string& trace_path) {
   MockKernel kernel;
-  EngineChoice choice;
-  choice.engine = engine;
   int rc = 0;
   if (scenario == "lb") {
     auto driver = L4LoadBalancerDriver::Create(kernel, 8, KieOptions{}, choice);
@@ -194,7 +197,7 @@ int RunNetfnScenario(const std::string& scenario, int invocations,
 }
 
 // --scenario=tenants: the multi-tenant SLO simulation (src/sim/tenants.h).
-int RunTenantsScenario(int invocations, ExecEngine engine, bool metrics_json,
+int RunTenantsScenario(int invocations, const EngineChoice& engine, bool metrics_json,
                        bool trace_on, const std::string& trace_path) {
   TenantScenarioConfig config;
   config.num_shards = 2;
@@ -202,7 +205,7 @@ int RunTenantsScenario(int invocations, ExecEngine engine, bool metrics_json,
   config.window = 128;
   config.adversary_period = 16;
   config.fuel_quantum_insns = 4000;
-  config.engine.engine = engine;
+  config.engine = engine;
   auto result = RunTenantScenario(config);
   if (!result.ok()) {
     std::fprintf(stderr, "kflex_run: tenants scenario: %s\n",
@@ -273,7 +276,7 @@ int main(int argc, char** argv) {
   int invocations = 1;
   std::string ctx_hex;
   std::string scenario;
-  ExecEngine engine = ExecEngine::kInterp;
+  EngineChoice engine;
   std::vector<std::string> fault_specs;
   bool metrics_json = false;
   bool concurrency_report = false;
@@ -315,12 +318,9 @@ int main(int argc, char** argv) {
       } else {
         e = arg.substr(std::strlen("--engine="));
       }
-      if (e == "interp") {
-        engine = ExecEngine::kInterp;
-      } else if (e == "jit") {
-        engine = ExecEngine::kJit;
-      } else if (e == "jit2") {
-        engine = ExecEngine::kJit2;
+      if (e == "interp" || e == "jit" || e == "jit2") {
+        engine.engine = e == "interp" ? ExecEngine::kInterp : ExecEngine::kJit;
+        engine.jit.v2 = e == "jit2";
       } else {
         std::fprintf(stderr, "kflex_run: unknown engine '%s'\n", e.c_str());
         return Usage();
@@ -429,7 +429,8 @@ int main(int argc, char** argv) {
     runtime_options.fault_specs.push_back(spec);
   }
   LoadOptions load_options;
-  load_options.engine = engine;
+  load_options.engine = engine.engine;
+  load_options.jit = engine.jit;
 
   std::unique_ptr<MockKernel> kernel;
   std::unique_ptr<ShardedRuntime> sharded;
@@ -473,10 +474,10 @@ int main(int argc, char** argv) {
       ip.stats.insns_out, ip.stats.guards_emitted, ip.stats.guards_elided,
       ip.stats.formation_guards, ip.stats.cancellation_points);
   EngineInfo ei = rt->engine_info(id);
-  std::printf("engine: requested=%s used=%s\n", ExecEngineName(ei.requested),
-              ExecEngineName(ei.used));
+  std::printf("engine: requested=%s used=%s\n", EngineName(ei.requested, engine.jit),
+              EngineName(ei.used, engine.jit));
   if (jit_stats) {
-    if (ei.used == ExecEngine::kJit || ei.used == ExecEngine::kJit2) {
+    if (ei.used == ExecEngine::kJit) {
       std::printf(
           "jit: %llu code bytes, compiled %llu insns in %.1f us, %llu mem sites "
           "(%llu inline fast paths), %llu helper sites\n",
@@ -486,7 +487,7 @@ int main(int argc, char** argv) {
           static_cast<unsigned long long>(ei.stats.mem_sites),
           static_cast<unsigned long long>(ei.stats.inline_fast_paths),
           static_cast<unsigned long long>(ei.stats.helper_sites));
-      if (ei.used == ExecEngine::kJit2) {
+      if (engine.jit.v2) {
         std::printf(
             "jit2: regalloc %llu live regs over %llu interval pcs, %llu callout "
             "sites spilled %llu regs (v1 would spill %llu), reloaded %llu\n",
@@ -503,8 +504,7 @@ int main(int argc, char** argv) {
             static_cast<unsigned long long>(ei.stats.hoisted_guards),
             static_cast<unsigned long long>(ei.stats.cached_loops));
       }
-    } else if (ei.requested == ExecEngine::kJit ||
-               ei.requested == ExecEngine::kJit2) {
+    } else if (ei.requested == ExecEngine::kJit) {
       std::printf("jit: fell back to interpreter: %s\n", ei.fallback_reason.c_str());
     } else {
       std::printf("jit: not requested\n");
