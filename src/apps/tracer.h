@@ -42,7 +42,6 @@ class SyscallFilter {
   // Live policy updates from user space through the mapped heap.
   void Deny(uint64_t syscall_nr);
   void Allow(uint64_t syscall_nr);
-  bool IsDenied(uint64_t syscall_nr) const;
   uint64_t denied_hits() const;
 
   ExtensionId id() const { return id_; }

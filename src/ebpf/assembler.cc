@@ -131,10 +131,6 @@ void Assembler::LoopBreakIfReg(const LoopScope& loop, JmpOp op, Reg dst, Reg src
   JmpReg(op, dst, src, loop.done);
 }
 
-void Assembler::LoopContinue(const LoopScope& loop) { Jmp(loop.head); }
-
-void Assembler::LoopBreak(const LoopScope& loop) { Jmp(loop.done); }
-
 void Assembler::LoopEnd(const LoopScope& loop) {
   Jmp(loop.head);
   Bind(loop.done);

@@ -92,8 +92,6 @@ class Assembler {
   LoopScope LoopBegin();
   void LoopBreakIfImm(const LoopScope& loop, JmpOp op, Reg dst, int32_t imm);
   void LoopBreakIfReg(const LoopScope& loop, JmpOp op, Reg dst, Reg src);
-  void LoopContinue(const LoopScope& loop);
-  void LoopBreak(const LoopScope& loop);
   void LoopEnd(const LoopScope& loop);
 
   //   auto iff = a.IfImm(BPF_JEQ, R1, 0);   // then-branch runs when R1 == 0

@@ -4,16 +4,18 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "src/base/logging.h"
 #include "src/obs/obs.h"
 
 namespace kflex {
 
 namespace {
 
-// The built-in fault-point catalog. Sites created with KFLEX_FAULT_FIRE must
-// appear here so that enumeration (chaos harness, --fault=list) sees every
-// point before its code path first executes. chaos_test's self-check fails
-// if an entry is added here without matrix coverage.
+// The built-in fault-point catalog, and the only points there are: a
+// KFLEX_FAULT_FIRE name missing here fails a check on first use, and
+// enumeration (chaos harness, --fault=list) sees every point before its code
+// path first executes. chaos_test's self-check fails if an entry is added
+// here without matrix coverage.
 constexpr const char* kCatalog[] = {
     "alloc.slab",      // HeapAllocator::CarvePageLocked: page carve fails
     "alloc.percpu",    // HeapAllocator::Alloc: per-CPU cache path fails
@@ -238,11 +240,15 @@ void FaultPoint::ResetCounters() {
   fails_.store(0, std::memory_order_relaxed);
 }
 
-FaultRegistry::FaultRegistry() {
-  for (const char* name : kCatalog) {
-    points_.push_back(std::make_unique<FaultPoint>(name));
-    points_.back()->set_obs_index(static_cast<uint32_t>(points_.size() - 1));
-  }
+FaultRegistry::FaultRegistry()
+    : points_([] {
+        std::vector<std::unique_ptr<FaultPoint>> points;
+        for (const char* name : kCatalog) {
+          points.push_back(
+              std::make_unique<FaultPoint>(name, static_cast<uint32_t>(points.size())));
+        }
+        return points;
+      }()) {
   // The fuzzer/env knob: arm from KFLEX_FAULT on first use so any binary in
   // the tree honors it without plumbing. Errors are reported, not fatal.
   Status env = ArmFromEnv();
@@ -257,19 +263,15 @@ FaultRegistry& FaultRegistry::Instance() {
 }
 
 FaultPoint& FaultRegistry::Point(std::string_view name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto& p : points_) {
-    if (p->name() == name) {
-      return *p;
-    }
+  FaultPoint* point = Find(name);
+  if (point == nullptr) {
+    KFLEX_LOG(Error) << "fault point \"" << name << "\" is not in the catalog";
   }
-  points_.push_back(std::make_unique<FaultPoint>(std::string(name)));
-  points_.back()->set_obs_index(static_cast<uint32_t>(points_.size() - 1));
-  return *points_.back();
+  KFLEX_CHECK(point != nullptr);
+  return *point;
 }
 
 FaultPoint* FaultRegistry::Find(std::string_view name) {
-  std::lock_guard<std::mutex> lock(mu_);
   for (auto& p : points_) {
     if (p->name() == name) {
       return p.get();
@@ -280,12 +282,9 @@ FaultPoint* FaultRegistry::Find(std::string_view name) {
 
 std::vector<std::string> FaultRegistry::Names() const {
   std::vector<std::string> names;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    names.reserve(points_.size());
-    for (const auto& p : points_) {
-      names.push_back(p->name());
-    }
+  names.reserve(points_.size());
+  for (const auto& p : points_) {
+    names.push_back(p->name());
   }
   std::sort(names.begin(), names.end());
   return names;
@@ -331,14 +330,12 @@ Status FaultRegistry::ArmFromEnv(const char* env_var) {
 }
 
 void FaultRegistry::DisarmAll() {
-  std::lock_guard<std::mutex> lock(mu_);
   for (auto& p : points_) {
     p->Disarm();
   }
 }
 
 void FaultRegistry::ResetCounters() {
-  std::lock_guard<std::mutex> lock(mu_);
   for (auto& p : points_) {
     p->ResetCounters();
   }
@@ -346,18 +343,15 @@ void FaultRegistry::ResetCounters() {
 
 std::vector<FaultRegistry::PointStats> FaultRegistry::Stats() const {
   std::vector<PointStats> stats;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stats.reserve(points_.size());
-    for (const auto& p : points_) {
-      PointStats s;
-      s.name = p->name();
-      s.armed = p->armed();
-      s.policy = p->armed() ? p->policy().ToString() : "off";
-      s.hits = p->hits();
-      s.fails = p->fails();
-      stats.push_back(std::move(s));
-    }
+  stats.reserve(points_.size());
+  for (const auto& p : points_) {
+    PointStats s;
+    s.name = p->name();
+    s.armed = p->armed();
+    s.policy = p->armed() ? p->policy().ToString() : "off";
+    s.hits = p->hits();
+    s.fails = p->fails();
+    stats.push_back(std::move(s));
   }
   std::sort(stats.begin(), stats.end(),
             [](const PointStats& a, const PointStats& b) { return a.name < b.name; });

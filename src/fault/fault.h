@@ -67,7 +67,8 @@ bool FaultScheduleFires(const FaultPolicy& policy, uint64_t hit);
 // hot paths cache a pointer via KFLEX_FAULT_FIRE.
 class FaultPoint {
  public:
-  explicit FaultPoint(std::string name) : name_(std::move(name)) {}
+  FaultPoint(std::string name, uint32_t obs_index)
+      : name_(std::move(name)), obs_index_(obs_index) {}
 
   FaultPoint(const FaultPoint&) = delete;
   FaultPoint& operator=(const FaultPoint&) = delete;
@@ -87,14 +88,13 @@ class FaultPoint {
   uint64_t fails() const { return fails_.load(std::memory_order_relaxed); }
   void ResetCounters();
 
-  // Stable registration index; stamped into fault.fired trace events (the
-  // obs catalog carries it as `point_index`).
+  // Stable catalog index; stamped into fault.fired trace events (the obs
+  // catalog carries it as `point_index`).
   uint32_t obs_index() const { return obs_index_; }
-  void set_obs_index(uint32_t index) { obs_index_ = index; }
 
  private:
   std::string name_;
-  uint32_t obs_index_ = 0;
+  uint32_t obs_index_;
   std::atomic<bool> armed_{false};
   std::atomic<uint64_t> hits_{0};
   std::atomic<uint64_t> fails_{0};
@@ -102,15 +102,18 @@ class FaultPoint {
   FaultPolicy policy_;
 };
 
-// Process-wide registry of fault points. The built-in catalog is registered
-// eagerly at construction so tools and the chaos harness can enumerate every
-// point whether or not its code path has executed yet.
+// Process-wide registry of fault points: exactly the built-in catalog,
+// registered at construction so tools and the chaos harness can enumerate
+// every point whether or not its code path has executed yet. The catalog is
+// closed, so every lookup reads a table that never changes, without a lock.
 class FaultRegistry {
  public:
   static FaultRegistry& Instance();
 
-  // Find-or-create; the returned reference is stable for process lifetime.
+  // The catalog point `name`; a name outside the catalog fails a check. The
+  // returned reference is stable for process lifetime.
   FaultPoint& Point(std::string_view name);
+  // nullptr when `name` is not in the catalog.
   FaultPoint* Find(std::string_view name);
   // Sorted names of every registered point.
   std::vector<std::string> Names() const;
@@ -139,8 +142,7 @@ class FaultRegistry {
  private:
   FaultRegistry();
 
-  mutable std::mutex mu_;
-  std::vector<std::unique_ptr<FaultPoint>> points_;
+  const std::vector<std::unique_ptr<FaultPoint>> points_;  // exactly kCatalog
 };
 
 // RAII arming for tests: arms specs on construction, disarms *all* points
@@ -158,8 +160,9 @@ class ScopedFaultInjection {
   Status Arm(std::string_view spec) { return FaultRegistry::Instance().ArmSpec(spec); }
 };
 
-// Hot-path test: one static pointer resolution on first execution, then a
-// counter increment + relaxed flag load per hit.
+// Hot-path test: one static pointer resolution on first execution (the name
+// must be in the catalog), then a counter increment + relaxed flag load per
+// hit.
 #define KFLEX_FAULT_FIRE(point_name)                               \
   ([]() -> bool {                                                  \
     static ::kflex::FaultPoint* kflex_fault_point =                \

@@ -3,12 +3,10 @@
 // Compiled extensions live in mmap'd regions the backend fills while they are
 // writable and then seals to PROT_READ|PROT_EXEC before first execution
 // (W^X: the region is never writable and executable at the same time). Each
-// compiled program owns one CodeBuffer; the process-wide CodeCache tracks
-// aggregate footprint for --jit-stats and tests.
+// compiled program owns one CodeBuffer.
 #ifndef SRC_JIT_CODE_CACHE_H_
 #define SRC_JIT_CODE_CACHE_H_
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 
@@ -46,15 +44,6 @@ class CodeBuffer {
   uint8_t* data_ = nullptr;
   size_t mapped_size_ = 0;
   size_t code_size_ = 0;
-};
-
-// Process-wide accounting of live JIT code (diagnostics only).
-class CodeCache {
- public:
-  static void OnMap(size_t bytes);
-  static void OnUnmap(size_t bytes);
-  static uint64_t live_bytes();
-  static uint64_t total_mapped_bytes();
 };
 
 }  // namespace kflex

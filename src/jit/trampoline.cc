@@ -66,9 +66,6 @@ VmResult JitRun(const JitProgram& prog, VmEnv& env) {
   }
   env.regs[R1] = kCtxRegion;
   env.regs[R10] = kStackRegion + kStackSize;
-  if (env.maps != nullptr && env.map_windows == nullptr) {
-    env.map_windows = env.maps->ValueWindows();
-  }
 
   JitState st{};
   st.regs = env.regs;
@@ -92,14 +89,10 @@ VmResult JitRun(const JitProgram& prog, VmEnv& env) {
   // helper fast paths to bail: trace/metric sinks, a helper trace vector, or
   // an armed chaos point that would alter helper behavior. armed() is a
   // non-consuming query, so probing it never shifts an injection schedule.
-  bool slow = ObsTraceEnabled() || ObsMetricsEnabled() || env.helper_trace != nullptr;
-  if (!slow) {
-    FaultRegistry& faults = FaultRegistry::Instance();
-    const FaultPoint* ret_err = faults.Find("helper.ret_err");
-    const FaultPoint* map_update = faults.Find("map.update");
-    slow = (ret_err != nullptr && ret_err->armed()) ||
-           (map_update != nullptr && map_update->armed());
-  }
+  static const FaultPoint& ret_err = FaultRegistry::Instance().Point("helper.ret_err");
+  static const FaultPoint& map_update = FaultRegistry::Instance().Point("map.update");
+  const bool slow = ObsTraceEnabled() || ObsMetricsEnabled() ||
+                    env.helper_trace != nullptr || ret_err.armed() || map_update.armed();
   st.slow_flags = slow ? 1 : 0;
 
   prog.entry(&st);

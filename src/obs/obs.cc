@@ -158,7 +158,7 @@ ObsInvokeScope::~ObsInvokeScope() { g_obs_tls = saved_; }
 // ---------------------------------------------------------------------------
 
 Obs::Obs() : rings_(new TraceRing[kNumRings]) {
-  metrics_.push_back(std::make_unique<ExtMetrics>(0, "(global)"));
+  metrics_.Append(std::make_unique<ExtMetrics>("(global)"));
 }
 
 Obs& Obs::Instance() {
@@ -183,18 +183,12 @@ void Obs::EnableMetrics(bool on) {
 }
 
 uint32_t Obs::RegisterExtension(const std::string& label) {
-  std::lock_guard<std::mutex> lock(mu_);
-  uint32_t id = static_cast<uint32_t>(metrics_.size());
-  metrics_.push_back(std::make_unique<ExtMetrics>(id, label));
-  return id;
+  return static_cast<uint32_t>(metrics_.Append(std::make_unique<ExtMetrics>(label)));
 }
 
 ExtMetrics* Obs::Metrics(uint32_t id) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (id >= metrics_.size()) {
-    id = 0;
-  }
-  return metrics_[id].get();
+  ExtMetrics* m = metrics_.Get(id);
+  return m != nullptr ? m : metrics_.Get(0);
 }
 
 void Obs::EmitLocked(uint16_t code, uint64_t a0, uint64_t a1) {
@@ -237,17 +231,6 @@ uint64_t Obs::TraceEmitted() const {
   return total;
 }
 
-ObsSnapshot Obs::SnapshotMetrics() const {
-  std::vector<uint32_t> ids;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (size_t i = 1; i < metrics_.size(); i++) {
-      ids.push_back(static_cast<uint32_t>(i));
-    }
-  }
-  return SnapshotMetrics(ids);
-}
-
 ObsSnapshot Obs::SnapshotMetrics(const std::vector<uint32_t>& ids) const {
   ObsSnapshot snap;
   uint32_t flags = g_obs_flags.load(std::memory_order_relaxed);
@@ -257,19 +240,18 @@ ObsSnapshot Obs::SnapshotMetrics(const std::vector<uint32_t>& ids) const {
   snap.trace_dropped = TraceDropped();
   snap.trace_resident = snap.trace_emitted - snap.trace_dropped;
 
-  std::lock_guard<std::mutex> lock(mu_);
   auto append = [&](uint32_t id) {
-    if (id >= metrics_.size()) {
+    const ExtMetrics* m = metrics_.Get(id);
+    if (m == nullptr) {
       return;
     }
-    const ExtMetrics& m = *metrics_[id];
     ObsExtSnapshot ext;
-    ext.id = m.id();
-    ext.label = m.label();
+    ext.id = id;
+    ext.label = m->label();
     for (size_t c = 0; c < static_cast<size_t>(ObsCounter::kCount); c++) {
-      ext.counters[c] = m.Get(static_cast<ObsCounter>(c));
+      ext.counters[c] = m->Get(static_cast<ObsCounter>(c));
     }
-    ext.invoke_ns = m.InvokeHistogram();
+    ext.invoke_ns = m->InvokeHistogram();
     snap.extensions.push_back(std::move(ext));
   };
   append(0);
@@ -285,9 +267,8 @@ void Obs::ResetAll() {
   for (size_t i = 0; i < kNumRings; i++) {
     rings_[i].Reset();
   }
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto& m : metrics_) {
-    m->Reset();
+  for (size_t i = 0; i < metrics_.size(); i++) {
+    metrics_.Get(i)->Reset();
   }
 }
 

@@ -23,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "src/base/append_table.h"
 #include "src/base/histogram.h"
 
 namespace kflex {
@@ -200,8 +201,7 @@ class TraceRing {
 
 class ExtMetrics {
  public:
-  explicit ExtMetrics(uint32_t id, std::string label)
-      : id_(id), label_(std::move(label)) {}
+  explicit ExtMetrics(std::string label) : label_(std::move(label)) {}
 
   void Bump(ObsCounter c, uint64_t delta = 1) {
     counters_[static_cast<size_t>(c)].fetch_add(delta, std::memory_order_relaxed);
@@ -219,11 +219,9 @@ class ExtMetrics {
   }
   void Reset();
 
-  uint32_t id() const { return id_; }
   const std::string& label() const { return label_; }
 
  private:
-  uint32_t id_;
   std::string label_;
   std::atomic<uint64_t> counters_[static_cast<size_t>(ObsCounter::kCount)] = {};
   mutable std::mutex mu_;
@@ -292,9 +290,10 @@ class Obs {
   void EnableTrace(bool on);
   void EnableMetrics(bool on);
 
-  // Registers a metrics slot; returns the process-globally-unique obs id.
+  // Registers a metrics slot; returns the process-globally-unique obs id
+  // (the slot's index in the metrics table).
   uint32_t RegisterExtension(const std::string& label);
-  // Never fails: unknown ids resolve to the global slot 0.
+  // Lock-free; never fails: unknown ids resolve to the global slot 0.
   ExtMetrics* Metrics(uint32_t id);
 
   // All trace events currently resident across CPU rings, sorted by
@@ -303,9 +302,8 @@ class Obs {
   uint64_t TraceDropped() const;
   uint64_t TraceEmitted() const;
 
-  // Full snapshot: all registered extensions. ids: restrict to these obs
-  // ids (plus the global slot) — Runtime::SnapshotMetrics passes its own.
-  ObsSnapshot SnapshotMetrics() const;
+  // Snapshot of the global slot plus these obs ids — Runtime::SnapshotMetrics
+  // passes its own.
   ObsSnapshot SnapshotMetrics(const std::vector<uint32_t>& ids) const;
 
   // Clears rings, counters and histograms (not registrations). Tests only.
@@ -320,8 +318,7 @@ class Obs {
   static constexpr size_t kNumRings = 16;  // power of two; cpu & (kNumRings-1)
 
   std::unique_ptr<TraceRing[]> rings_;
-  mutable std::mutex mu_;
-  std::vector<std::unique_ptr<ExtMetrics>> metrics_;  // index = obs id
+  AppendTable<ExtMetrics> metrics_;  // index = obs id
 };
 
 // Emit entry point behind the macros; resolves TLS attribution + timestamp.

@@ -1,6 +1,7 @@
 #include "src/runtime/maps.h"
 
 #include <cstring>
+#include <string>
 
 #include "src/fault/fault.h"
 
@@ -60,13 +61,6 @@ uint8_t* ArrayMap::TranslateValue(uint64_t va, uint64_t size) {
     return nullptr;
   }
   return values_.data() + (va - base);
-}
-
-bool ArrayMap::ValueWindow(VaWindow* out) {
-  out->start = value_area_va();
-  out->end = out->start + values_.size();
-  out->host = values_.data();
-  return true;
 }
 
 // ---- BpfHashMap --------------------------------------------------------------
@@ -162,13 +156,6 @@ uint8_t* BpfHashMap::TranslateValue(uint64_t va, uint64_t size) {
   return values_.data() + (va - base);
 }
 
-bool BpfHashMap::ValueWindow(VaWindow* out) {
-  out->start = value_area_va();
-  out->end = out->start + values_.size();
-  out->host = values_.data();
-  return true;
-}
-
 BpfHashMap::InlineView BpfHashMap::inline_view() const {
   static_assert(sizeof(std::atomic<uint64_t>) == sizeof(uint64_t),
                 "inline probe reads seq_ as a plain uint64_t");
@@ -226,17 +213,28 @@ uint64_t RingBufMap::dropped() const {
 
 // ---- MapRegistry -------------------------------------------------------------
 
+template <typename M>
+StatusOr<MapDescriptor> MapRegistry::Create(MapDescriptor desc) {
+  StatusOr<size_t> index = maps_.AppendWith([&](size_t next) -> StatusOr<std::unique_ptr<Map>> {
+    if (next >= kMaxMaps) {
+      return ResourceExhausted("map region full: at most " + std::to_string(kMaxMaps) +
+                               " maps");
+    }
+    desc.id = static_cast<uint32_t>(next + 1);
+    return std::unique_ptr<Map>(std::make_unique<M>(desc, HandleVaForId(desc.id)));
+  });
+  if (!index.ok()) {
+    return index.status();
+  }
+  return desc;
+}
+
 StatusOr<MapDescriptor> MapRegistry::CreateArray(uint32_t key_size, uint32_t value_size,
                                                  uint64_t max_entries) {
   if (key_size != 4 || value_size == 0 || max_entries == 0) {
     return InvalidArgument("array map requires u32 keys and nonzero value size/entries");
   }
-  std::lock_guard<std::mutex> lock(mu_);
-  MapDescriptor desc{static_cast<uint32_t>(maps_.size() + 1), key_size, value_size,
-                     max_entries, MapType::kArray};
-  maps_.push_back(std::make_unique<ArrayMap>(desc, HandleVaForId(desc.id)));
-  RebuildWindows();
-  return desc;
+  return Create<ArrayMap>({0, key_size, value_size, max_entries, MapType::kArray});
 }
 
 StatusOr<MapDescriptor> MapRegistry::CreateHash(uint32_t key_size, uint32_t value_size,
@@ -244,108 +242,31 @@ StatusOr<MapDescriptor> MapRegistry::CreateHash(uint32_t key_size, uint32_t valu
   if (key_size == 0 || value_size == 0 || max_entries == 0) {
     return InvalidArgument("hash map requires nonzero key/value size and entries");
   }
-  std::lock_guard<std::mutex> lock(mu_);
-  MapDescriptor desc{static_cast<uint32_t>(maps_.size() + 1), key_size, value_size,
-                     max_entries, MapType::kHash};
-  maps_.push_back(std::make_unique<BpfHashMap>(desc, HandleVaForId(desc.id)));
-  RebuildWindows();
-  return desc;
-}
-
-StatusOr<PartitionedMapDesc> MapRegistry::CreateHashPartitions(
-    uint32_t key_size, uint32_t value_size, uint64_t max_entries, int partitions,
-    MapPartitionMode mode) {
-  if (partitions <= 0) {
-    return InvalidArgument("partition count must be positive");
-  }
-  PartitionedMapDesc out;
-  out.mode = mode;
-  if (mode == MapPartitionMode::kShared) {
-    auto desc = CreateHash(key_size, value_size, max_entries);
-    if (!desc.ok()) {
-      return desc.status();
-    }
-    out.parts.push_back(*desc);
-    return out;
-  }
-  // Split capacity evenly, rounding up so the partitioned aggregate never
-  // holds fewer entries than the shared map it replaces.
-  uint64_t per_part = (max_entries + partitions - 1) / partitions;
-  out.parts.reserve(partitions);
-  for (int i = 0; i < partitions; i++) {
-    auto desc = CreateHash(key_size, value_size, per_part);
-    if (!desc.ok()) {
-      return desc.status();
-    }
-    out.parts.push_back(*desc);
-  }
-  return out;
+  return Create<BpfHashMap>({0, key_size, value_size, max_entries, MapType::kHash});
 }
 
 StatusOr<MapDescriptor> MapRegistry::CreateRingBuf(uint64_t capacity_bytes) {
   if (capacity_bytes < 64 || capacity_bytes > (1ULL << 30)) {
     return InvalidArgument("ring buffer capacity out of range");
   }
-  std::lock_guard<std::mutex> lock(mu_);
-  MapDescriptor desc{static_cast<uint32_t>(maps_.size() + 1), 0, 0, capacity_bytes,
-                     MapType::kRingBuf};
-  maps_.push_back(std::make_unique<RingBufMap>(desc, HandleVaForId(desc.id)));
-  RebuildWindows();
-  return desc;
+  return Create<RingBufMap>({0, 0, 0, capacity_bytes, MapType::kRingBuf});
 }
 
-Map* MapRegistry::Find(uint32_t id) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (id == 0 || id > maps_.size()) {
+Map* MapRegistry::Find(uint32_t id) const {
+  return id == 0 ? nullptr : maps_.Get(id - 1);
+}
+
+Map* MapRegistry::FindByVa(uint64_t va) const {
+  if (va < kMapRegion || va >= kKernelObjRegion) {
     return nullptr;
   }
-  return maps_[id - 1].get();
-}
-
-const Map* MapRegistry::Find(uint32_t id) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (id == 0 || id > maps_.size()) {
-    return nullptr;
-  }
-  return maps_[id - 1].get();
-}
-
-Map* MapRegistry::FindByVa(uint64_t va) {
-  if (va < kMapRegion) {
-    return nullptr;
-  }
-  uint32_t id = static_cast<uint32_t>((va - kMapRegion) >> 32);
-  return Find(id);
-}
-
-std::shared_ptr<const std::vector<VaWindow>> MapRegistry::ValueWindows() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (windows_ == nullptr) {
-    return std::make_shared<const std::vector<VaWindow>>();
-  }
-  return windows_;
-}
-
-void MapRegistry::RebuildWindows() {
-  auto next = std::make_shared<std::vector<VaWindow>>();
-  next->reserve(maps_.size());
-  for (const auto& map : maps_) {
-    VaWindow w;
-    if (map->ValueWindow(&w)) {
-      next->push_back(w);
-    }
-  }
-  // Map ids (and thus value-area VAs) are assigned in ascending order, so
-  // the snapshot is already sorted by start.
-  windows_ = std::move(next);
+  return Find(static_cast<uint32_t>((va - kMapRegion) >> 32));
 }
 
 std::vector<MapDescriptor> MapRegistry::Descriptors() const {
-  std::lock_guard<std::mutex> lock(mu_);
   std::vector<MapDescriptor> out;
-  out.reserve(maps_.size());
-  for (const auto& map : maps_) {
-    out.push_back(map->desc());
+  for (size_t i = 0; i < maps_.size(); i++) {
+    out.push_back(maps_.Get(i)->desc());
   }
   return out;
 }

@@ -3,8 +3,9 @@
 // BMC baseline (§5.1) is built on a pre-allocated hash map exactly like the
 // original system.
 //
-// Map handles and value pointers are simulated kernel VAs inside kMapRegion;
-// the VM translates value-pointer accesses through the registry.
+// Map handles and value pointers are simulated kernel VAs inside kMapRegion:
+// a VA's high bits name its map, so the VM translates a value-pointer access
+// as FindByVa(va)->TranslateValue(va, size).
 #ifndef SRC_RUNTIME_MAPS_H_
 #define SRC_RUNTIME_MAPS_H_
 
@@ -17,21 +18,12 @@
 #include <unordered_map>
 #include <vector>
 
+#include "src/base/append_table.h"
 #include "src/base/status.h"
 #include "src/runtime/layout.h"
 #include "src/verifier/verifier.h"
 
 namespace kflex {
-
-// One contiguous VA → host window (a map's value area). The registry keeps a
-// flat, sorted snapshot of these so per-access translation is a lock-free
-// binary search shared by the interpreter and the JIT's cold path, instead
-// of a mutex-guarded registry scan.
-struct VaWindow {
-  uint64_t start = 0;
-  uint64_t end = 0;  // exclusive
-  uint8_t* host = nullptr;
-};
 
 class Map {
  public:
@@ -49,12 +41,6 @@ class Map {
   virtual int Delete(const uint8_t* key) = 0;
   // Host pointer for a value-area access, or nullptr if out of bounds.
   virtual uint8_t* TranslateValue(uint64_t va, uint64_t size) = 0;
-  // Fills `out` with this map's directly addressable value window, if it has
-  // one whose storage stays fixed for the map's lifetime.
-  virtual bool ValueWindow(VaWindow* out) {
-    (void)out;
-    return false;
-  }
 
   static constexpr uint64_t kValueAreaOff = 0x100000;
 
@@ -72,7 +58,6 @@ class ArrayMap final : public Map {
   int Update(const uint8_t* key, const uint8_t* value) override;
   int Delete(const uint8_t* key) override;
   uint8_t* TranslateValue(uint64_t va, uint64_t size) override;
-  bool ValueWindow(VaWindow* out) override;
 
  private:
   std::vector<uint8_t> values_;
@@ -110,7 +95,6 @@ class BpfHashMap final : public Map {
   int Update(const uint8_t* key, const uint8_t* value) override;
   int Delete(const uint8_t* key) override;
   uint8_t* TranslateValue(uint64_t va, uint64_t size) override;
-  bool ValueWindow(VaWindow* out) override;
 
   InlineView inline_view() const;
 
@@ -158,49 +142,25 @@ class RingBufMap final : public Map {
   uint64_t dropped_ = 0;
 };
 
-// Placement of a logical map under the sharded dispatcher (docs/sharding.md).
-// RSS-style flow steering guarantees a key only ever reaches one shard, so
-// kPartitioned gives every shard an independent slice (no cross-shard
-// locking on the hot path); kShared keeps one map visible to all shards,
-// serialized by the map's existing internal locking — the fallback for
-// state that is genuinely global (e.g., an all-shards counter).
-enum class MapPartitionMode : uint8_t { kPartitioned = 0, kShared = 1 };
-
-struct PartitionedMapDesc {
-  MapPartitionMode mode = MapPartitionMode::kPartitioned;
-  // kPartitioned: one descriptor per shard; kShared: exactly one, returned
-  // for every shard.
-  std::vector<MapDescriptor> parts;
-
-  const MapDescriptor& ForShard(int shard) const {
-    return mode == MapPartitionMode::kShared
-               ? parts.front()
-               : parts[static_cast<size_t>(shard) % parts.size()];
-  }
-  int num_parts() const { return static_cast<int>(parts.size()); }
-};
-
 class MapRegistry {
  public:
+  // Map ids are 1..kMaxMaps: the handle of id kMaxMaps + 1 would land on
+  // kKernelObjRegion, where no value area can be translated.
+  static constexpr uint32_t kMaxMaps =
+      static_cast<uint32_t>((kKernelObjRegion - kMapRegion) >> 32) - 1;
+
   // Creates a map and returns its descriptor (id assigned by the registry).
   StatusOr<MapDescriptor> CreateArray(uint32_t key_size, uint32_t value_size,
                                       uint64_t max_entries);
   StatusOr<MapDescriptor> CreateHash(uint32_t key_size, uint32_t value_size,
                                      uint64_t max_entries);
-  // Hash-map partitions for the sharded dispatcher: kPartitioned splits
-  // `max_entries` across `partitions` independent maps (each shard's
-  // extension replica is built against its own slice); kShared creates one
-  // map of the full capacity that every shard uses.
-  StatusOr<PartitionedMapDesc> CreateHashPartitions(
-      uint32_t key_size, uint32_t value_size, uint64_t max_entries, int partitions,
-      MapPartitionMode mode = MapPartitionMode::kPartitioned);
   // Ring buffer with `capacity_bytes` of record storage.
   StatusOr<MapDescriptor> CreateRingBuf(uint64_t capacity_bytes);
 
-  Map* Find(uint32_t id);
-  const Map* Find(uint32_t id) const;
+  // Lock-free: maps are never removed.
+  Map* Find(uint32_t id) const;
   // Finds the map owning VA `va` (handle or value area); nullptr if none.
-  Map* FindByVa(uint64_t va);
+  Map* FindByVa(uint64_t va) const;
 
   static uint64_t HandleVaForId(uint32_t id) {
     return kMapRegion + (static_cast<uint64_t>(id) << 32);
@@ -208,17 +168,11 @@ class MapRegistry {
 
   std::vector<MapDescriptor> Descriptors() const;
 
-  // Sorted snapshot of all fixed value-area windows, rebuilt on map
-  // creation. Safe to hold across a VM run: value storage never moves after
-  // construction, and snapshots are immutable.
-  std::shared_ptr<const std::vector<VaWindow>> ValueWindows() const;
-
  private:
-  void RebuildWindows();  // callers hold mu_
+  template <typename M>
+  StatusOr<MapDescriptor> Create(MapDescriptor desc);
 
-  mutable std::mutex mu_;
-  std::vector<std::unique_ptr<Map>> maps_;
-  std::shared_ptr<const std::vector<VaWindow>> windows_;
+  AppendTable<Map> maps_;  // id = index + 1
 };
 
 }  // namespace kflex

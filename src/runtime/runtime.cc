@@ -40,22 +40,8 @@ Runtime::Runtime(const RuntimeOptions& options) : options_(options) {
 
 Runtime::~Runtime() { StopWatchdog(); }
 
-Runtime::Extension* Runtime::Get(ExtensionId id) {
-  std::shared_ptr<const std::vector<Extension*>> index =
-      index_.load(std::memory_order_acquire);
-  if (index == nullptr || id == 0 || id > index->size()) {
-    return nullptr;
-  }
-  return (*index)[id - 1];
-}
-
-const Runtime::Extension* Runtime::Get(ExtensionId id) const {
-  std::shared_ptr<const std::vector<Extension*>> index =
-      index_.load(std::memory_order_acquire);
-  if (index == nullptr || id == 0 || id > index->size()) {
-    return nullptr;
-  }
-  return (*index)[id - 1];
+Runtime::Extension* Runtime::Get(ExtensionId id) const {
+  return id == 0 ? nullptr : extensions_.Get(id - 1);
 }
 
 StatusOr<ExtensionId> Runtime::Load(const Program& program, const LoadOptions& options) {
@@ -70,13 +56,13 @@ StatusOr<ExtensionId> Runtime::Load(const Program& program, const LoadOptions& o
   // Step 1 (Figure 1): kernel-interface compliance via the verifier.
   VerifyOptions vo = options.verify;
   vo.maps = maps_.Descriptors();
-  StatusOr<Analysis> analysis = Verify(program, vo);
-  if (!analysis.ok()) {
-    return analysis.status();
+  StatusOr<Analysis> verified = Verify(program, vo);
+  if (!verified.ok()) {
+    return verified.status();
   }
+  Analysis analysis = std::move(verified).value();
 
   auto ext = std::make_unique<Extension>();
-  ext->analysis = std::move(analysis.value());
 
   // Create the extension heap before instrumentation so Kie can concretize
   // the mapping bases into the code (§4.1).
@@ -113,19 +99,19 @@ StatusOr<ExtensionId> Runtime::Load(const Program& program, const LoadOptions& o
   const GuardPlan* plan = nullptr;
   OptResult opt;
   if (options.optimize) {
-    StatusOr<OptResult> optimized = Optimize(program, ext->analysis);
+    StatusOr<OptResult> optimized = Optimize(program, analysis);
     if (!optimized.ok()) {
       return optimized.status();
     }
     opt = std::move(optimized.value());
-    ext->analysis = opt.analysis;
+    analysis = opt.analysis;
     to_instrument = &opt.program;
     plan = &opt.plan;
   }
 
   // Step 2 (Figure 1): Kie instrumentation.
   StatusOr<InstrumentedProgram> iprog =
-      Instrument(*to_instrument, ext->analysis, layout, options.kie, plan);
+      Instrument(*to_instrument, analysis, layout, options.kie, plan);
   if (!iprog.ok()) {
     return iprog.status();
   }
@@ -136,7 +122,7 @@ StatusOr<ExtensionId> Runtime::Load(const Program& program, const LoadOptions& o
   // The certificate is the load-time gate the sharded dispatcher (ROADMAP
   // item 1) consults; its lock-order edges also feed the cross-extension
   // deadlock audit (LockOrderAudit) and the trace stream.
-  ext->iprog.concurrency = AnalyzeConcurrency(*to_instrument, &ext->analysis);
+  ext->iprog.concurrency = AnalyzeConcurrency(*to_instrument, &analysis);
   for (const LockOrderEdge& edge : ext->iprog.concurrency.edges) {
     KFLEX_TRACE(ObsEvent::kLockOrderEdge, edge.from, edge.to);
   }
@@ -170,15 +156,7 @@ StatusOr<ExtensionId> Runtime::Load(const Program& program, const LoadOptions& o
   KFLEX_CHECK(ext->allocator == nullptr ||
               ext->allocator->num_cpu_slots() == options_.num_cpus);
 
-  std::lock_guard<std::mutex> lock(mu_);
-  extensions_.push_back(std::move(ext));
-  auto index = std::make_shared<std::vector<Extension*>>();
-  index->reserve(extensions_.size());
-  for (const auto& e : extensions_) {
-    index->push_back(e.get());
-  }
-  index_.store(std::move(index), std::memory_order_release);
-  return static_cast<ExtensionId>(extensions_.size());
+  return static_cast<ExtensionId>(extensions_.Append(std::move(ext)) + 1);
 }
 
 int64_t Runtime::Unwind(Extension& ext, VmEnv& env, size_t fault_pc) {
@@ -382,12 +360,6 @@ const InstrumentedProgram& Runtime::instrumented(ExtensionId id) const {
   return ext->iprog;
 }
 
-const Analysis& Runtime::analysis(ExtensionId id) const {
-  const Extension* ext = Get(id);
-  KFLEX_CHECK(ext != nullptr);
-  return ext->analysis;
-}
-
 EngineInfo Runtime::engine_info(ExtensionId id) const {
   const Extension* ext = Get(id);
   EngineInfo info;
@@ -410,17 +382,15 @@ std::vector<LockOrderGraph::Cycle> Runtime::LockOrderAudit() const {
   // share_heap_with). Build one acquisition graph per heap from the per-
   // extension certificate edges and collect cycles across all of them.
   std::map<const ExtensionHeap*, LockOrderGraph> graphs;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const auto& ext : extensions_) {
-      if (ext->heap == nullptr || ext->unloaded.load(std::memory_order_acquire)) {
-        continue;
-      }
-      const std::string& name = ext->iprog.program.name.empty()
-                                    ? std::string("extension")
-                                    : ext->iprog.program.name;
-      graphs[ext->heap.get()].AddEdges(name, ext->iprog.concurrency.edges);
+  for (size_t i = 0; i < extensions_.size(); i++) {
+    const Extension* ext = extensions_.Get(i);
+    if (ext->heap == nullptr || ext->unloaded.load(std::memory_order_acquire)) {
+      continue;
     }
+    const std::string& name = ext->iprog.program.name.empty()
+                                  ? std::string("extension")
+                                  : ext->iprog.program.name;
+    graphs[ext->heap.get()].AddEdges(name, ext->iprog.concurrency.edges);
   }
   std::vector<LockOrderGraph::Cycle> cycles;
   for (auto& [heap, graph] : graphs) {
@@ -506,12 +476,8 @@ InvariantReport Runtime::SweepInvariants(ExtensionId id) const {
 
 ObsSnapshot Runtime::SnapshotMetrics() const {
   std::vector<uint32_t> ids;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ids.reserve(extensions_.size());
-    for (const auto& ext : extensions_) {
-      ids.push_back(ext->obs_id);
-    }
+  for (size_t i = 0; i < extensions_.size(); i++) {
+    ids.push_back(extensions_.Get(i)->obs_id);
   }
   return Obs::Instance().SnapshotMetrics(ids);
 }
@@ -533,17 +499,8 @@ Runtime::ExtensionStats Runtime::GetStats(ExtensionId id) const {
 void Runtime::WatchdogLoop() {
   while (watchdog_running_.load(std::memory_order_acquire)) {
     uint64_t now = KtimeNowNs();
-    size_t count;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      count = extensions_.size();
-    }
-    for (size_t i = 0; i < count; i++) {
-      Extension* ext;
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        ext = extensions_[i].get();
-      }
+    for (size_t i = 0; i < extensions_.size(); i++) {
+      Extension* ext = extensions_.Get(i);
       for (auto& slot : ext->running_since) {
         uint64_t since = slot->load(std::memory_order_acquire);
         if (since != 0 && now > since && now - since > options_.quantum_ns) {

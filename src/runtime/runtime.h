@@ -22,6 +22,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/base/append_table.h"
 #include "src/base/status.h"
 #include "src/jit/codegen.h"
 #include "src/kie/kie.h"
@@ -177,7 +178,6 @@ class Runtime {
   ExtensionHeap* heap(ExtensionId id);
   HeapAllocator* allocator(ExtensionId id);
   const InstrumentedProgram& instrumented(ExtensionId id) const;
-  const Analysis& analysis(ExtensionId id) const;
   EngineInfo engine_info(ExtensionId id) const;
 
   // Static lock-acquisition audit across all live extensions (concurrency.h):
@@ -227,7 +227,6 @@ class Runtime {
  private:
   struct Extension {
     InstrumentedProgram iprog;
-    Analysis analysis;
     ExecEngine engine_requested = ExecEngine::kInterp;
     std::unique_ptr<JitProgram> jit;  // non-null: Invoke runs native code
     std::string jit_fallback;         // why kJit fell back, if it did
@@ -246,8 +245,8 @@ class Runtime {
     ExtensionStats stats;
   };
 
-  Extension* Get(ExtensionId id);
-  const Extension* Get(ExtensionId id) const;
+  // Lock-free: extensions are never removed (Unload only marks them).
+  Extension* Get(ExtensionId id) const;
   int64_t Unwind(Extension& ext, VmEnv& env, size_t fault_pc);
   void WatchdogLoop();
 
@@ -256,12 +255,7 @@ class Runtime {
   ObjectRegistry objects_;
   HelperTable helpers_;
 
-  // Writers (Load) take mu_ and republish index_; readers (Invoke and every
-  // per-extension accessor) only load the immutable snapshot, so concurrent
-  // shard workers never serialize on the registry lock in the invoke path.
-  mutable std::mutex mu_;
-  std::vector<std::unique_ptr<Extension>> extensions_;
-  std::atomic<std::shared_ptr<const std::vector<Extension*>>> index_;
+  AppendTable<Extension> extensions_;  // ExtensionId = index + 1
 
   std::thread watchdog_;
   std::atomic<bool> watchdog_running_{false};

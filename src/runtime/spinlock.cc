@@ -78,8 +78,4 @@ bool SpinLockOps::IsHeld(const void* word) {
   return Word(word)->load(std::memory_order_acquire) != kFree;
 }
 
-uint64_t SpinLockOps::Owner(const void* word) {
-  return Word(word)->load(std::memory_order_acquire);
-}
-
 }  // namespace kflex

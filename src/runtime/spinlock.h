@@ -61,7 +61,6 @@ class SpinLockOps {
   static void Release(void* word);
 
   static bool IsHeld(const void* word);
-  static uint64_t Owner(const void* word);
 };
 
 }  // namespace kflex

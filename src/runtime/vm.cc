@@ -34,32 +34,15 @@ uint8_t* Translate(VmEnv& env, uint64_t va, uint64_t size, MemFaultKind& fault) 
       return nullptr;
     }
   }
-  // Map value areas: binary search over the flat window snapshot (shared
-  // with the JIT); fall back to a registry scan when no snapshot was taken.
-  if (va >= kMapRegion && va < kKernelObjRegion &&
-      (env.map_windows != nullptr || env.maps != nullptr)) {
-    if (env.map_windows != nullptr) {
-      const std::vector<VaWindow>& windows = *env.map_windows;
-      auto it = std::upper_bound(
-          windows.begin(), windows.end(), va,
-          [](uint64_t v, const VaWindow& w) { return v < w.start; });
-      if (it != windows.begin()) {
-        const VaWindow& w = *(it - 1);
-        if (va >= w.start && va + size <= w.end) {
-          return w.host + (va - w.start);
-        }
-      }
-    } else {
-      Map* map = env.maps->FindByVa(va);
-      if (map != nullptr) {
-        uint8_t* p = map->TranslateValue(va, size);
-        if (p != nullptr) {
-          return p;
-        }
+  // Map value areas: the address's high bits name the map.
+  if (env.maps != nullptr) {
+    Map* map = env.maps->FindByVa(va);
+    if (map != nullptr) {
+      uint8_t* p = map->TranslateValue(va, size);
+      if (p != nullptr) {
+        return p;
       }
     }
-    fault = MemFaultKind::kBadAddress;
-    return nullptr;
   }
   fault = MemFaultKind::kBadAddress;
   return nullptr;
@@ -301,9 +284,6 @@ VmResult VmRun(std::span<const Insn> insns, VmEnv& env) {
   uint64_t* regs = env.regs;
   regs[R1] = kCtxRegion;
   regs[R10] = kStackRegion + kStackSize;
-  if (env.maps != nullptr && env.map_windows == nullptr) {
-    env.map_windows = env.maps->ValueWindows();
-  }
 
   size_t pc = 0;
   uint64_t executed = 0;

@@ -119,11 +119,6 @@ struct VmEnv {
   // call in execution order. Differential tests compare traces across
   // optimized/unoptimized runs of the same program.
   std::vector<std::pair<int32_t, uint64_t>>* helper_trace = nullptr;
-  // Flat sorted snapshot of map value-area windows, used for lock-free
-  // binary-searched translation instead of a per-access registry scan.
-  // Filled from `maps` at run start if unset; callers may pre-fill it to
-  // amortize across invocations.
-  std::shared_ptr<const std::vector<VaWindow>> map_windows;
 
   // Filled during execution; readable by the cancellation unwinder.
   uint64_t regs[kNumRegs] = {0};

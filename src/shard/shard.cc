@@ -42,13 +42,14 @@ ShardedRuntime::ShardedRuntime(const ShardedRuntimeOptions& options)
         return o;
       }()),
       runtime_(options_.runtime) {
-  ext_index_.store(std::make_shared<const std::vector<LoadedExt*>>(),
-                   std::memory_order_release);
   shards_.reserve(options_.num_shards);
   for (int s = 0; s < options_.num_shards; s++) {
     shards_.push_back(std::make_unique<Shard>(options_.queue_capacity));
   }
   for (int s = 0; s < options_.num_shards; s++) {
+    // Emitted here, not by the worker, so every event of a constructed
+    // runtime happens-before the constructor returns.
+    KFLEX_TRACE(ObsEvent::kShardStart, s, options_.num_shards);
     shards_[s]->worker = std::thread([this, s] { WorkerLoop(s); });
   }
 }
@@ -68,64 +69,48 @@ ShardedRuntime::~ShardedRuntime() {
 
 StatusOr<ShardExtId> ShardedRuntime::Load(const Program& program,
                                           const LoadOptions& options) {
-  return LoadImpl([&program](int) { return program; }, options);
-}
-
-StatusOr<ShardExtId> ShardedRuntime::Load(const std::function<Program(int)>& make,
-                                          const LoadOptions& options) {
-  return LoadImpl(make, options);
-}
-
-StatusOr<ShardExtId> ShardedRuntime::LoadImpl(const std::function<Program(int)>& make,
-                                              const LoadOptions& options) {
-  std::lock_guard<std::mutex> lock(ext_mu_);
   const int n = options_.num_shards;
-  // Home shard before safety is known: the certificate decides whether the
-  // extension spreads, the table slot decides where a pinned one lives.
-  const int home = static_cast<int>(exts_.size()) % n;
-
-  auto loaded = std::make_unique<LoadedExt>();
-  auto home_id = runtime_.Load(make(home), options);
-  if (!home_id.ok()) {
-    return home_id.status();
+  StatusOr<size_t> index = exts_.AppendWith(
+      [&](size_t slot) -> StatusOr<std::unique_ptr<LoadedExt>> {
+        // Home shard before safety is known: the certificate decides whether
+        // the extension spreads, the table slot decides where a pinned one
+        // lives.
+        const int home = static_cast<int>(slot % static_cast<size_t>(n));
+        auto home_id = runtime_.Load(program, options);
+        if (!home_id.ok()) {
+          return home_id.status();
+        }
+        auto loaded = std::make_unique<LoadedExt>();
+        ShardPlacement& place = loaded->placement;
+        place.safety = runtime_.engine_info(*home_id).shard_safety;
+        place.replicated = place.safety != ShardSafety::kSerialOnly && n > 1;
+        place.home_shard = home;
+        if (!place.replicated) {
+          place.replicas.push_back(*home_id);
+          return loaded;
+        }
+        place.replicas.assign(n, 0);
+        place.replicas[home] = *home_id;
+        for (int s = 0; s < n; s++) {
+          if (s == home) {
+            continue;
+          }
+          auto rid = runtime_.Load(program, options);
+          if (!rid.ok()) {
+            return rid.status();
+          }
+          place.replicas[s] = *rid;
+        }
+        return loaded;
+      });
+  if (!index.ok()) {
+    return index.status();
   }
-  ShardPlacement& place = loaded->placement;
-  place.safety = runtime_.engine_info(*home_id).shard_safety;
-  place.replicated = place.safety != ShardSafety::kSerialOnly && n > 1;
-  place.home_shard = home;
-  if (place.replicated) {
-    place.replicas.assign(n, 0);
-    place.replicas[home] = *home_id;
-    for (int s = 0; s < n; s++) {
-      if (s == home) {
-        continue;
-      }
-      auto rid = runtime_.Load(make(s), options);
-      if (!rid.ok()) {
-        return rid.status();
-      }
-      place.replicas[s] = *rid;
-    }
-  } else {
-    place.replicas.push_back(*home_id);
-  }
-
-  exts_.push_back(std::move(loaded));
-  auto index = std::make_shared<std::vector<LoadedExt*>>();
-  index->reserve(exts_.size());
-  for (const auto& e : exts_) {
-    index->push_back(e.get());
-  }
-  ext_index_.store(std::move(index), std::memory_order_release);
-  return static_cast<ShardExtId>(exts_.size());
+  return static_cast<ShardExtId>(*index + 1);
 }
 
 ShardedRuntime::LoadedExt* ShardedRuntime::GetExt(ShardExtId id) const {
-  auto index = ext_index_.load(std::memory_order_acquire);
-  if (id == 0 || id > index->size()) {
-    return nullptr;
-  }
-  return (*index)[id - 1];
+  return id == 0 ? nullptr : exts_.Get(id - 1);
 }
 
 const ShardPlacement& ShardedRuntime::placement(ShardExtId id) const {
@@ -238,7 +223,6 @@ void ShardedRuntime::UnloadQuiesced(ShardExtId id) {
 }
 
 void ShardedRuntime::WorkerLoop(int shard) {
-  KFLEX_TRACE(ObsEvent::kShardStart, shard, options_.num_shards);
   Shard& self = *shards_[shard];
   for (;;) {
     if (RunBatch(shard, shard) > 0) {
@@ -251,16 +235,14 @@ void ShardedRuntime::WorkerLoop(int shard) {
       }
       continue;
     }
-    if (options_.steal) {
-      size_t stole = 0;
-      for (int v = 0; v < options_.num_shards && stole == 0; v++) {
-        if (v != shard) {
-          stole = RunBatch(shard, v);
-        }
+    size_t stole = 0;
+    for (int v = 0; v < options_.num_shards && stole == 0; v++) {
+      if (v != shard) {
+        stole = RunBatch(shard, v);
       }
-      if (stole > 0) {
-        continue;
-      }
+    }
+    if (stole > 0) {
+      continue;
     }
     self.sleepers.fetch_add(1, std::memory_order_acq_rel);
     {
@@ -292,15 +274,18 @@ size_t ShardedRuntime::RunBatch(int self, int from) {
     }
     if (stealing) {
       LoadedExt* e = GetExt(req.ext);
-      if (e != nullptr && !e->placement.replicated) {
+      if (!e->placement.replicated) {
         // Pinned request: a thief must not run it (serial-only certificate).
         // Return it to its home ring — `from` IS the home shard, and the pop
-        // just freed a slot, so this only fails under heavy contention.
+        // just freed a slot, so this only fails when a producer took that
+        // slot first. Then it is a drop, but an accepted request still
+        // completes.
         if (!src.queue.Push(req)) {
           src.dropped.fetch_add(1, std::memory_order_relaxed);
           KFLEX_TRACE(ObsEvent::kShardDrop, from, src.queue.capacity());
-          e->pending.fetch_sub(1, std::memory_order_acq_rel);
-          inflight_.fetch_sub(1, std::memory_order_acq_rel);
+          InvokeResult dropped;
+          dropped.attached = false;
+          Complete(e, req, dropped);
         }
         break;  // stop stealing from this victim: likely more pinned work
       }
@@ -321,28 +306,25 @@ size_t ShardedRuntime::RunBatch(int self, int from) {
 }
 
 void ShardedRuntime::Execute(int self, int owner, const ShardRequest& req) {
-  Shard& me = *shards_[self];
+  // Submit admits only loaded ids, and the table never shrinks.
   LoadedExt* e = GetExt(req.ext);
-  InvokeResult result;
-  if (e == nullptr) {
-    result.attached = false;
-  } else {
-    // A thief executes the victim's replica — the flow's per-shard state
-    // lives there; concurrent entry is safe by the >= lock-protected
-    // certificate that admitted the extension to replication.
-    ExtensionId rid = e->placement.replicated
-                          ? e->placement.replicas[owner]
-                          : e->placement.replicas.front();
-    result = runtime_.Invoke(rid, self, req.ctx, req.ctx_size);
-    me.invoked.fetch_add(1, std::memory_order_relaxed);
-  }
+  // A thief executes the victim's replica — the flow's per-shard state lives
+  // there; concurrent entry is safe by the >= lock-protected certificate
+  // that admitted the extension to replication.
+  ExtensionId rid = e->placement.replicated ? e->placement.replicas[owner]
+                                            : e->placement.replicas.front();
+  InvokeResult result = runtime_.Invoke(rid, self, req.ctx, req.ctx_size);
+  shards_[self]->invoked.fetch_add(1, std::memory_order_relaxed);
+  Complete(e, req, result);
+}
+
+void ShardedRuntime::Complete(LoadedExt* e, const ShardRequest& req,
+                              const InvokeResult& result) {
   if (req.on_done != nullptr) {
     req.on_done(result, req.user);
   }
-  if (e != nullptr) {
-    e->pending.fetch_sub(1, std::memory_order_acq_rel);
-    inflight_.fetch_sub(1, std::memory_order_acq_rel);
-  }
+  e->pending.fetch_sub(1, std::memory_order_acq_rel);
+  inflight_.fetch_sub(1, std::memory_order_acq_rel);
 }
 
 void ShardedRuntime::Wake(Shard& shard) {

@@ -15,21 +15,22 @@
 //                               (counted, traced as shard.forward).
 //
 // Workers drain their ring in batches (default 32) to amortize engine entry,
-// and — for certified-concurrent extensions only — steal from sibling rings
-// when idle. Ingress never blocks: a full ring (or an armed shard.enqueue
-// fault) drops the request and bumps the shard's drop counter.
+// and steal from sibling rings when idle, running only certified-concurrent
+// requests (a stolen pinned request goes back home). Ingress never blocks: a
+// full ring (or an armed shard.enqueue fault) drops the request and bumps the
+// shard's drop counter.
 #ifndef SRC_SHARD_SHARD_H_
 #define SRC_SHARD_SHARD_H_
 
 #include <atomic>
 #include <condition_variable>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "src/base/append_table.h"
 #include "src/base/status.h"
 #include "src/runtime/runtime.h"
 #include "src/shard/ingress.h"
@@ -47,8 +48,6 @@ struct ShardedRuntimeOptions {
   int batch_size = 32;
   // Ingress ring capacity per shard (power of two).
   size_t queue_capacity = 4096;
-  // Idle workers steal from sibling rings (replicated extensions only).
-  bool steal = true;
   // Options for the underlying Runtime. num_cpus is raised to num_shards if
   // smaller — workers invoke with cpu = shard index.
   RuntimeOptions runtime;
@@ -105,13 +104,6 @@ class ShardedRuntime {
   // instances (private heap each) for race-free / lock-protected programs,
   // a single home-shard instance for serial-only ones.
   StatusOr<ShardExtId> Load(const Program& program, const LoadOptions& options = {});
-  // Per-shard program builder for partitioned-map workloads: make(shard) is
-  // loaded as shard's replica (the program typically embeds that shard's
-  // MapRegistry partition id, see MapRegistry::CreateHashPartitions).
-  // Requires a certificate that permits replication; serial-only programs
-  // load only make(home_shard).
-  StatusOr<ShardExtId> Load(const std::function<Program(int shard)>& make,
-                            const LoadOptions& options = {});
 
   const ShardPlacement& placement(ShardExtId id) const;
   // The Runtime extension serving `shard` (the home instance when pinned).
@@ -166,26 +158,27 @@ class ShardedRuntime {
     std::atomic<bool> draining{false};
   };
 
-  StatusOr<ShardExtId> LoadImpl(const std::function<Program(int)>& make,
-                                const LoadOptions& options);
+  // Lock-free: extensions are never removed (UnloadQuiesced only drains).
   LoadedExt* GetExt(ShardExtId id) const;
   void WorkerLoop(int shard);
   // Drains up to batch_size requests from `from`'s ring, executing them as
-  // `self`. Returns the number executed (stolen pinned requests are
-  // re-routed home and not counted).
+  // `self`. Returns the number executed (stolen pinned requests go back
+  // home, or complete unattached when the home ring is full, and are not
+  // counted).
   size_t RunBatch(int self, int from);
   // Runs one request as worker `self` against the replica owned by shard
   // `owner` (owner == self except for steals).
   void Execute(int self, int owner, const ShardRequest& req);
+  // Calls req.on_done with `result` and retires the request from the
+  // pending/in-flight counts.
+  void Complete(LoadedExt* e, const ShardRequest& req, const InvokeResult& result);
   void Wake(Shard& s);
 
   ShardedRuntimeOptions options_;
   Runtime runtime_;
   std::vector<std::unique_ptr<Shard>> shards_;
 
-  mutable std::mutex ext_mu_;  // guards table growth; readers use index_
-  std::vector<std::unique_ptr<LoadedExt>> exts_;
-  std::atomic<std::shared_ptr<const std::vector<LoadedExt*>>> ext_index_;
+  AppendTable<LoadedExt> exts_;  // ShardExtId = index + 1
 
   std::atomic<uint64_t> inflight_{0};  // all pending requests, all extensions
   std::atomic<bool> stop_{false};

@@ -4,8 +4,8 @@
 // NIC's receive-side-scaling indirection: KV requests hash their key, raw
 // packets hash the 5-tuple. Determinism is the correctness foundation of the
 // sharded dispatcher — a given key only ever reaches one shard, so per-shard
-// extension replicas (each with a private heap and map partition) together
-// behave like one coherent store without cross-shard locking.
+// extension replicas (each with a private heap) together behave like one
+// coherent store without cross-shard locking.
 #ifndef SRC_SHARD_STEERING_H_
 #define SRC_SHARD_STEERING_H_
 

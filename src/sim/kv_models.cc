@@ -76,23 +76,10 @@ void UserMemcachedSystem::Prepopulate(uint64_t key_space) {
 uint64_t UserMemcachedSystem::ServeNs(int cpu, KvOp op, uint64_t key) {
   if (op == KvOp::kGet) {
     auto r = proxy_->Get(cpu, key);
-    get_insns_total_ += r.insns;
-    get_ops_++;
     return cost_.UserPathUdp() + cost_.ComputeNs(r.insns, r.instr_insns);
   }
   auto r = proxy_->Set(cpu, key, ValueForKey(key));
-  set_insns_total_ += r.insns;
-  set_ops_++;
   return cost_.UserPathTcp() + cost_.ComputeNs(r.insns, r.instr_insns);
-}
-
-double UserMemcachedSystem::mean_get_insns() const {
-  return get_ops_ == 0 ? 0 : static_cast<double>(get_insns_total_) /
-                                 static_cast<double>(get_ops_);
-}
-double UserMemcachedSystem::mean_set_insns() const {
-  return set_ops_ == 0 ? 0 : static_cast<double>(set_insns_total_) /
-                                 static_cast<double>(set_ops_);
 }
 
 // ---- BmcSystem -----------------------------------------------------------------

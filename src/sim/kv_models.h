@@ -56,19 +56,12 @@ class UserMemcachedSystem : public ServiceModel {
                                                                int server_threads);
   void Prepopulate(uint64_t key_space);
   uint64_t ServeNs(int cpu, KvOp op, uint64_t key) override;
-  // Average compute (insns) per op, used by the BMC model's miss path.
-  double mean_get_insns() const;
-  double mean_set_insns() const;
 
  private:
   UserMemcachedSystem(const CostModel& cost) : cost_(cost) {}
   CostModel cost_;
   std::unique_ptr<MockKernel> kernel_;
   std::unique_ptr<KflexMemcachedDriver> proxy_;
-  uint64_t get_insns_total_ = 0;
-  uint64_t get_ops_ = 0;
-  uint64_t set_insns_total_ = 0;
-  uint64_t set_ops_ = 0;
 };
 
 class BmcSystem : public ServiceModel {

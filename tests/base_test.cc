@@ -1,9 +1,12 @@
-// Base utilities: Status/StatusOr, RNG determinism, Zipfian skew,
-// histogram percentiles.
+// Base utilities: Status/StatusOr, the append-only table, RNG determinism,
+// Zipfian skew, histogram percentiles.
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
+#include <vector>
 
+#include "src/base/append_table.h"
 #include "src/base/histogram.h"
 #include "src/base/rng.h"
 #include "src/base/status.h"
@@ -55,6 +58,41 @@ TEST(StatusOr, MoveOnlyValue) {
   ASSERT_TRUE(v.ok());
   std::unique_ptr<int> out = std::move(v).value();
   EXPECT_EQ(*out, 7);
+}
+
+TEST(AppendTable, DenseIndicesAndEntriesNeverMove) {
+  AppendTable<int> table;
+  EXPECT_EQ(table.Get(0), nullptr);
+  std::vector<int*> seen;
+  for (int i = 0; i < 1000; i++) {  // crosses nine chunk boundaries
+    auto entry = std::make_unique<int>(i);
+    seen.push_back(entry.get());
+    EXPECT_EQ(table.Append(std::move(entry)), static_cast<size_t>(i));
+  }
+  EXPECT_EQ(table.size(), 1000u);
+  for (size_t i = 0; i < seen.size(); i++) {
+    ASSERT_EQ(table.Get(i), seen[i]);
+    EXPECT_EQ(*table.Get(i), static_cast<int>(i));
+  }
+  EXPECT_EQ(table.Get(1000), nullptr);
+}
+
+TEST(AppendTable, AppendWithSeesItsIndexAndAppendsNothingOnError) {
+  AppendTable<size_t> table;
+  table.Append(std::make_unique<size_t>(0));
+  StatusOr<size_t> refused =
+      table.AppendWith([](size_t) -> StatusOr<std::unique_ptr<size_t>> {
+        return ResourceExhausted("full");
+      });
+  EXPECT_EQ(refused.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(table.size(), 1u);
+  StatusOr<size_t> index =
+      table.AppendWith([](size_t next) -> StatusOr<std::unique_ptr<size_t>> {
+        return std::make_unique<size_t>(next);
+      });
+  ASSERT_TRUE(index.ok());
+  EXPECT_EQ(*index, 1u);
+  EXPECT_EQ(*table.Get(1), 1u);
 }
 
 TEST(Rng, DeterministicForSeed) {

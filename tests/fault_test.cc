@@ -158,6 +158,12 @@ TEST(FaultRegistryTest, ArmingUnknownPointFails) {
   EXPECT_EQ(s.code(), StatusCode::kNotFound);
 }
 
+// The catalog is closed: a fire site naming a point outside it fails a check
+// on first use instead of creating a point.
+TEST(FaultRegistryDeathTest, FireSiteOutsideTheCatalogFailsACheck) {
+  EXPECT_DEATH(FaultRegistry::Instance().Point("alloc.bogus"), "not in the catalog");
+}
+
 TEST(FaultRegistryTest, ScopedInjectionDisarmsAndResetsOnExit) {
   {
     ScopedFaultInjection faults{"alloc.slab:nth=1"};

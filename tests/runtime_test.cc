@@ -315,6 +315,29 @@ TEST(Allocator, RandomizedAllocFreeStress) {
   }
 }
 
+// The §4.1 refiller: one pass stocks every CPU's cache for every size class,
+// so each CPU's first allocation of any class is a cache hit and carves
+// nothing.
+TEST(Allocator, RefillCachesStocksEveryCpuAndClass) {
+  HeapSpec spec;
+  spec.size = kHeapSize;
+  auto heap = ExtensionHeap::Create(spec);
+  ASSERT_TRUE(heap.ok());
+  HeapAllocator alloc(heap.value().get(), 2);
+  alloc.RefillCaches();
+  const uint64_t carved = alloc.GetStats().pages_carved;
+  EXPECT_GT(carved, 0u);
+  for (int cpu = 0; cpu < 2; cpu++) {
+    for (int cls = 0; cls < HeapAllocator::kNumClasses; cls++) {
+      EXPECT_NE(alloc.Alloc(cpu, HeapAllocator::ClassSize(cls)), 0u) << cpu << "/" << cls;
+    }
+  }
+  HeapAllocator::Stats stats = alloc.GetStats();
+  EXPECT_EQ(stats.cache_hits, 2u * HeapAllocator::kNumClasses);
+  EXPECT_EQ(stats.pages_carved, carved);
+  EXPECT_TRUE(alloc.Audit().empty());
+}
+
 TEST(SpinLock, MutualExclusionStress) {
   alignas(8) uint64_t word = 0;
   uint64_t counter = 0;
@@ -384,6 +407,28 @@ TEST(Maps, HashMapCapacityBound) {
   // Overwriting an existing key still works at capacity.
   k = 2;
   EXPECT_EQ(map->Update(reinterpret_cast<uint8_t*>(&k), value), 0);
+}
+
+// A map handle is kMapRegion + (id << 32), so id 4096 would land exactly on
+// kKernelObjRegion: the registry stops at 4095.
+TEST(Maps, IdsStayBelowKernelObjectRegion) {
+  MapRegistry registry;
+  for (uint32_t id = 1; id <= 4095; id++) {
+    auto desc = registry.CreateArray(4, 8, 1);
+    ASSERT_TRUE(desc.ok()) << desc.status().ToString();
+    ASSERT_EQ(desc->id, id);
+  }
+  Map* last = registry.Find(4095);
+  ASSERT_NE(last, nullptr);
+  const uint64_t va = last->value_area_va();
+  EXPECT_LT(va + 8, kKernelObjRegion);
+  EXPECT_EQ(registry.FindByVa(va), last);
+  EXPECT_NE(last->TranslateValue(va, 8), nullptr);
+
+  auto refused = registry.CreateArray(4, 8, 1);
+  ASSERT_FALSE(refused.ok()) << "map 4096 was accepted";
+  EXPECT_EQ(refused.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(registry.Descriptors().size(), 4095u);
 }
 
 TEST(Maps, RandomizedVsReferenceModel) {

@@ -12,7 +12,11 @@
 //  * quiesced unload drains in-flight batches and leaves the invariant
 //    sweep green;
 //  * a 4-shard mixed-extension run with multiple producers (the MPMC
-//    ingress), stealing and forwarding all active.
+//    ingress), stealing and forwarding all active;
+//  * every accepted request completes exactly once, even a stolen pinned
+//    request that cannot go back home;
+//  * loads and map creation racing submits: the registries an invocation
+//    reads grow while it runs.
 //
 // Interpreter engine only (the default): JIT code is not TSan-instrumented.
 #include <gtest/gtest.h>
@@ -460,6 +464,179 @@ TEST(FourShards, MixedExtensionsMultiProducer) {
       EXPECT_TRUE(sweep.ok()) << sweep.ToString();
     }
   }
+}
+
+// ---- completion under stealing ----------------------------------------------
+
+struct Completions {
+  std::atomic<uint64_t> all{0};
+  std::atomic<uint64_t> unattached{0};
+};
+
+void CountCompletion(const InvokeResult& result, void* user) {
+  auto* c = static_cast<Completions*>(user);
+  if (!result.attached) {
+    c->unattached.fetch_add(1, std::memory_order_relaxed);
+  }
+  c->all.fetch_add(1, std::memory_order_relaxed);
+}
+
+TEST(Steal, AcceptedPinnedRequestAlwaysCompletes) {
+  // Rings of two slots: a thief that pops a pinned request races the
+  // producers for the slot its pop freed, and often loses the push back.
+  ShardedRuntimeOptions opts;
+  opts.num_shards = 4;
+  opts.queue_capacity = 2;
+  ShardedRuntime sharded{opts};
+  auto id = sharded.Load(RacyCounterProgram(), StaticHeapOptions());
+  ASSERT_TRUE(id.ok());
+  ASSERT_FALSE(sharded.placement(*id).replicated);
+
+  constexpr int kProducers = 3;
+  constexpr uint64_t kSubmits = 20000;
+  Completions completions;
+  std::atomic<uint64_t> accepted{0};
+  static uint8_t ctx[64];  // workers read it after Submit returns
+  std::vector<std::thread> producers;
+  for (int p = 0; p < kProducers; p++) {
+    producers.emplace_back([&, p] {
+      for (uint64_t i = 0; i < kSubmits; i++) {
+        ShardRequest req;
+        req.ext = *id;
+        req.ctx = ctx;
+        req.ctx_size = sizeof(ctx);
+        req.flow_hash = ShardHashKey(static_cast<uint64_t>(p) * kSubmits + i);
+        req.on_done = CountCompletion;
+        req.user = &completions;
+        if (sharded.Submit(req)) {
+          accepted.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    });
+  }
+  for (auto& t : producers) {
+    t.join();
+  }
+  sharded.Flush();
+
+  EXPECT_EQ(completions.all.load(), accepted.load())
+      << "every accepted request must run its callback exactly once";
+  uint64_t dropped = 0;
+  for (const ShardStats& s : sharded.SnapshotStats()) {
+    dropped += s.dropped;
+  }
+  EXPECT_LE(completions.unattached.load(), dropped)
+      << "a pinned request that could not go home is counted as a drop";
+  EXPECT_EQ(SumCounters(sharded, *id), accepted.load() - completions.unattached.load())
+      << "every attached completion ran the extension once";
+}
+
+// ---- registries growing under traffic ---------------------------------------
+
+constexpr uint64_t kStoredValue = 0x5eed000000000001ULL;
+
+// Looks up element 0 of map `map_id` and returns it, read through an atomic
+// fetch-add of 0 so the certificate stays race-free (replicated).
+Program MapReaderProgram(uint32_t map_id) {
+  Assembler a;
+  a.LoadMapPtr(R1, map_id);
+  a.StImm(BPF_W, R10, -4, 0);
+  a.Mov(R2, R10);
+  a.AddImm(R2, -4);
+  a.Call(kHelperMapLookupElem);
+  a.MovImm(R1, 0);
+  auto found = a.IfImm(BPF_JNE, R0, 0);
+  a.AtomicAdd(BPF_DW, R0, 0, R1, /*fetch=*/true);
+  a.EndIf(found);
+  a.Mov(R0, R1);
+  a.Exit();
+  auto p = a.Finish("map_reader", Hook::kXdp, ExtensionMode::kEbpf, /*heap_size=*/0);
+  EXPECT_TRUE(p.ok()) << p.status().ToString();
+  return std::move(p).value();
+}
+
+StatusOr<MapDescriptor> CreateStoredMap(MapRegistry& maps) {
+  auto desc = maps.CreateArray(4, 8, 1);
+  if (desc.ok()) {
+    const uint32_t key = 0;
+    const uint64_t value = kStoredValue;
+    EXPECT_EQ(maps.Find(desc->id)->Update(reinterpret_cast<const uint8_t*>(&key),
+                                          reinterpret_cast<const uint8_t*>(&value)),
+              0);
+  }
+  return desc;
+}
+
+struct ReaderTally {
+  std::atomic<uint64_t> done{0};
+  std::atomic<uint64_t> wrong{0};
+};
+
+void CountRead(const InvokeResult& result, void* user) {
+  auto* tally = static_cast<ReaderTally*>(user);
+  if (!result.attached || result.cancelled ||
+      static_cast<uint64_t>(result.verdict) != kStoredValue) {
+    tally->wrong.fetch_add(1, std::memory_order_relaxed);
+  }
+  tally->done.fetch_add(1, std::memory_order_relaxed);
+}
+
+TEST(Registries, LoadAndMapCreationRaceSubmits) {
+  // Every table an invocation reads without a lock (both runtimes'
+  // extensions, the maps, the obs slots) grows while producers submit.
+  ShardedRuntimeOptions opts;
+  opts.num_shards = 2;
+  ShardedRuntime sharded{opts};
+  MapRegistry& maps = sharded.runtime().maps();
+  auto map = CreateStoredMap(maps);
+  ASSERT_TRUE(map.ok());
+  auto id = sharded.Load(MapReaderProgram(map->id));
+  ASSERT_TRUE(id.ok()) << id.status().ToString();
+  ASSERT_EQ(sharded.placement(*id).safety, ShardSafety::kRaceFree);
+
+  constexpr int kProducers = 3;
+  constexpr int kGrowth = 64;
+  ReaderTally tally;
+  std::atomic<uint64_t> accepted{0};
+  std::atomic<bool> stop{false};
+  static uint8_t ctx[64];  // workers read it after Submit returns
+  std::vector<std::thread> producers;
+  for (int p = 0; p < kProducers; p++) {
+    producers.emplace_back([&, p] {
+      for (uint64_t i = 0; !stop.load(std::memory_order_acquire); i++) {
+        ShardRequest req;
+        req.ext = *id;
+        req.ctx = ctx;
+        req.ctx_size = sizeof(ctx);
+        req.flow_hash = ShardHashKey((static_cast<uint64_t>(p) << 32) | i);
+        req.on_done = CountRead;
+        req.user = &tally;
+        if (sharded.Submit(req)) {
+          accepted.fetch_add(1, std::memory_order_relaxed);
+        } else {
+          std::this_thread::yield();
+        }
+      }
+    });
+  }
+  for (int i = 0; i < kGrowth; i++) {
+    auto grown = CreateStoredMap(maps);
+    EXPECT_TRUE(grown.ok());
+    if (grown.ok()) {
+      EXPECT_TRUE(sharded.Load(MapReaderProgram(grown->id)).ok());
+    }
+  }
+  stop.store(true, std::memory_order_release);
+  for (auto& t : producers) {
+    t.join();
+  }
+  sharded.Flush();
+
+  EXPECT_GT(accepted.load(), 0u);
+  EXPECT_EQ(tally.done.load(), accepted.load());
+  EXPECT_EQ(tally.wrong.load(), 0u)
+      << "every completion must be attached and read the stored value";
+  EXPECT_EQ(maps.Descriptors().size(), static_cast<size_t>(kGrowth + 1));
 }
 
 }  // namespace
